@@ -23,6 +23,30 @@ namespace xnfdb {
 
 namespace {
 
+// True when `e` has a top-level conjunct `col = non-NULL literal` on a
+// hash-indexed column of `table`; `*bucket` receives that key's index
+// bucket (null when no row has the key).
+bool IndexedConjunct(const Table& table, const qgm::Expr* e,
+                     const std::vector<Rid>** bucket) {
+  if (e == nullptr || e->kind != qgm::Expr::Kind::kBinary) return false;
+  if (e->op == "AND") {
+    return IndexedConjunct(table, e->lhs.get(), bucket) ||
+           IndexedConjunct(table, e->rhs.get(), bucket);
+  }
+  if (e->op != "=") return false;
+  const qgm::Expr* col = e->lhs.get();
+  const qgm::Expr* lit = e->rhs.get();
+  if (col->kind != qgm::Expr::Kind::kColRef) std::swap(col, lit);
+  if (col->kind != qgm::Expr::Kind::kColRef ||
+      lit->kind != qgm::Expr::Kind::kLiteral || lit->literal.is_null()) {
+    return false;
+  }
+  const HashIndex* index = table.GetIndex(col->column);
+  if (index == nullptr) return false;
+  *bucket = index->Lookup(lit->literal);
+  return true;
+}
+
 // Compiles expressions against one base table so they can be evaluated per
 // row (used by UPDATE/DELETE for the WHERE predicate and SET right sides).
 // Owns the scratch graph the expressions live in.
@@ -49,6 +73,30 @@ class RowContext {
   Result<bool> Matches(const Tuple& row) const {
     if (expr_ == nullptr) return true;
     return EvalPredicate(*expr_, layout_, row);
+  }
+
+  // The live RIDs of `table` whose rows satisfy the predicate, ascending.
+  // A top-level conjunct `col = non-NULL literal` on a hash-indexed column
+  // confines the candidates to that index bucket; the full predicate is
+  // re-checked on each candidate either way.
+  Result<std::vector<Rid>> MatchingRids(const Table& table) const {
+    std::vector<Rid> matches;
+    auto check = [&](Rid rid) -> Status {
+      if (!table.IsLive(rid)) return Status::Ok();
+      XNFDB_ASSIGN_OR_RETURN(bool m, Matches(table.Get(rid)));
+      if (m) matches.push_back(rid);
+      return Status::Ok();
+    };
+    const std::vector<Rid>* bucket = nullptr;
+    if (IndexedConjunct(table, expr_.get(), &bucket)) {
+      if (bucket == nullptr) return matches;  // no row has the key
+      for (Rid rid : *bucket) XNFDB_RETURN_IF_ERROR(check(rid));
+      return matches;
+    }
+    for (Rid rid = 0; rid < table.rid_bound(); ++rid) {
+      XNFDB_RETURN_IF_ERROR(check(rid));
+    }
+    return matches;
   }
 
   // Compiles a value expression (may reference the table's columns).
@@ -1079,12 +1127,8 @@ Status Database::RunUpdate(const ast::UpdateStatement& stmt,
     sets.emplace_back(idx, std::move(compiled));
   }
   // Collect matching RIDs first so updates do not affect the scan.
-  std::vector<Rid> matches;
-  for (Rid rid = 0; rid < table->rid_bound(); ++rid) {
-    if (!table->IsLive(rid)) continue;
-    XNFDB_ASSIGN_OR_RETURN(bool m, ctx->Matches(table->Get(rid)));
-    if (m) matches.push_back(rid);
-  }
+  XNFDB_ASSIGN_OR_RETURN(std::vector<Rid> matches,
+                         ctx->MatchingRids(*table));
   const bool track = matviews_.size() > 0;
   std::vector<Tuple> old_rows, new_rows;
   Status status = Status::Ok();
@@ -1130,12 +1174,8 @@ Status Database::RunDelete(const ast::DeleteStatement& stmt,
   XNFDB_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(stmt.table));
   XNFDB_ASSIGN_OR_RETURN(auto ctx,
                          RowContext::Create(*table, stmt.where.get()));
-  std::vector<Rid> matches;
-  for (Rid rid = 0; rid < table->rid_bound(); ++rid) {
-    if (!table->IsLive(rid)) continue;
-    XNFDB_ASSIGN_OR_RETURN(bool m, ctx->Matches(table->Get(rid)));
-    if (m) matches.push_back(rid);
-  }
+  XNFDB_ASSIGN_OR_RETURN(std::vector<Rid> matches,
+                         ctx->MatchingRids(*table));
   const bool track = matviews_.size() > 0;
   std::vector<Tuple> deleted_rows;
   Status status = Status::Ok();

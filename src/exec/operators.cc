@@ -203,6 +203,11 @@ void RangeScanOp::ShapeToken(std::string* out) const {
           table_->schema().column(column_).name;
 }
 
+void IndexJoinOp::ShapeToken(std::string* out) const {
+  *out += "index_join:" + table_->name() + "." +
+          table_->schema().column(column_).name;
+}
+
 std::string PlanShapeText(Operator* root) {
   std::string shape;
   root->ShapeToken(&shape);
@@ -672,6 +677,75 @@ Result<bool> HashJoinOp::NextBatchImpl(TupleBatch* out) {
   return true;
 }
 
+Status IndexJoinOp::OpenImpl() {
+  index_ = table_->GetIndex(column_);
+  if (index_ == nullptr) {
+    return Status::Internal("index join without index on " + table_->name());
+  }
+  matches_ = nullptr;
+  match_pos_ = 0;
+  return left_->Open();
+}
+
+Result<const std::vector<Rid>*> IndexJoinOp::Probe(const Tuple& left) {
+  if (stats_ != nullptr) ++stats_->join_probes;
+  XNFDB_ASSIGN_OR_RETURN(Value key, EvalExpr(*outer_key_, left_layout_, left));
+  if (key.is_null()) return nullptr;  // NULL keys never join
+  if (stats_ != nullptr) ++stats_->index_lookups;
+  return index_->Lookup(key);
+}
+
+Result<bool> IndexJoinOp::Combine(const Tuple& left, Rid rid,
+                                  Tuple* combined) {
+  if (!table_->IsLive(rid)) return false;
+  if (stats_ != nullptr) ++stats_->rows_scanned;
+  const Tuple& inner = table_->Get(rid);
+  combined->clear();
+  combined->reserve(left.size() + inner_cols_.size());
+  combined->insert(combined->end(), left.begin(), left.end());
+  for (int c : inner_cols_) combined->push_back(inner[c]);
+  for (const qgm::Expr* p : residual_) {
+    XNFDB_ASSIGN_OR_RETURN(bool ok,
+                           EvalPredicate(*p, combined_layout_, *combined));
+    if (!ok) return false;
+  }
+  return true;
+}
+
+Result<bool> IndexJoinOp::NextImpl(Tuple* row) {
+  while (true) {
+    while (matches_ != nullptr && match_pos_ < matches_->size()) {
+      XNFDB_ASSIGN_OR_RETURN(
+          bool pass, Combine(current_left_, (*matches_)[match_pos_++], row));
+      if (pass) return true;
+    }
+    XNFDB_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
+    if (!more) return false;
+    XNFDB_ASSIGN_OR_RETURN(matches_, Probe(current_left_));
+    match_pos_ = 0;
+  }
+}
+
+Result<bool> IndexJoinOp::NextBatchImpl(TupleBatch* out) {
+  if (left_batch_ == nullptr || left_batch_->capacity() != out->capacity()) {
+    left_batch_ = std::make_unique<TupleBatch>(out->capacity());
+  }
+  XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(left_batch_.get()));
+  if (!more) return false;
+  for (size_t i = 0; i < left_batch_->ActiveCount(); ++i) {
+    const Tuple& left = left_batch_->Active(i);
+    XNFDB_ASSIGN_OR_RETURN(const std::vector<Rid>* rids, Probe(left));
+    if (rids == nullptr) continue;
+    for (Rid rid : *rids) {
+      Tuple& combined = out->AppendRow();  // retracted below if filtered
+      XNFDB_ASSIGN_OR_RETURN(bool pass, Combine(left, rid, &combined));
+      if (!pass) out->DropLastRow();
+    }
+  }
+  if (stats_ != nullptr) ++stats_->batches_join;
+  return true;
+}
+
 Status NLJoinOp::OpenImpl() {
   XNFDB_RETURN_IF_ERROR(left_->Open());
   XNFDB_RETURN_IF_ERROR(right_->Open());
@@ -1067,6 +1141,13 @@ void RangeScanOp::ExplainImpl(int depth, std::string* out) const {
 void MaterializedOp::ExplainImpl(int depth, std::string* out) const {
   SelfLine(depth,
               "SpoolRead(" + std::to_string(rows_->size()) + " rows)", out);
+  size_t start = 0;
+  while (start < build_plan_.size()) {
+    size_t end = build_plan_.find('\n', start);
+    if (end == std::string::npos) end = build_plan_.size();
+    ExplainLine(depth + 1, build_plan_.substr(start, end - start), out);
+    start = end + 1;
+  }
 }
 
 void MatViewScanOp::ExplainImpl(int depth, std::string* out) const {
@@ -1123,6 +1204,15 @@ void HashJoinOp::ExplainImpl(int depth, std::string* out) const {
   SelfLine(depth, line, out);
   left_->Explain(depth + 1, out);
   right_->Explain(depth + 1, out);
+}
+
+void IndexJoinOp::ExplainImpl(int depth, std::string* out) const {
+  std::string line = "IndexJoin(" + table_->name() + "." +
+                     table_->schema().column(column_).name + " = " +
+                     outer_key_->ToString(nullptr) + ")";
+  if (!residual_.empty()) line += " residual(" + RenderExprs(residual_) + ")";
+  SelfLine(depth, line, out);
+  left_->Explain(depth + 1, out);
 }
 
 void NLJoinOp::ExplainImpl(int depth, std::string* out) const {

@@ -418,12 +418,16 @@ class MatViewScanOp : public Operator {
   size_t pos_ = 0;
 };
 
-// Reader over a materialized (spooled) buffer.
+// Reader over a materialized (spooled) buffer. `build_plan`, when given, is
+// the EXPLAIN rendering (at depth 0) of the plan that filled the buffer;
+// EXPLAIN prints it beneath the reader's own line.
 class MaterializedOp : public Operator {
  public:
   MaterializedOp(std::shared_ptr<const std::vector<Tuple>> rows,
-                 ExecStats* stats)
-      : rows_(std::move(rows)), stats_(stats) {}
+                 ExecStats* stats, std::string build_plan = "")
+      : rows_(std::move(rows)),
+        stats_(stats),
+        build_plan_(std::move(build_plan)) {}
 
   const char* Kind() const override { return "spool_read"; }
 
@@ -441,6 +445,7 @@ class MaterializedOp : public Operator {
  private:
   std::shared_ptr<const std::vector<Tuple>> rows_;
   ExecStats* stats_;
+  std::string build_plan_;
   size_t pos_ = 0;
 };
 
@@ -642,6 +647,70 @@ class HashJoinOp : public Operator {
   bool left_keys_flat_ = false;
   Tuple current_left_;
   const std::vector<Tuple>* matches_ = nullptr;
+  size_t match_pos_ = 0;
+  std::unique_ptr<TupleBatch> left_batch_;  // probe-side batch (batch mode)
+};
+
+// Index nested-loop join: for each left row, evaluates `outer_key` and
+// fetches the matching rows of `table` through its hash index on `column`.
+// `inner_cols` lists the table column behind each of the inner quantifier's
+// columns (the head of a pass-through box, or every column in order).
+// `residual` (the inner's pushed predicates and the remaining join
+// predicates) runs over the combined row. NULL keys never match; per left
+// row, matches come out in ascending RID order — the order a hash join over
+// a scan emits them.
+class IndexJoinOp : public Operator {
+ public:
+  IndexJoinOp(OperatorPtr left, const Table* table, int column,
+              std::vector<int> inner_cols, const qgm::Expr* outer_key,
+              std::vector<const qgm::Expr*> residual, Layout left_layout,
+              Layout combined_layout, ExecStats* stats)
+      : left_(std::move(left)),
+        table_(table),
+        column_(column),
+        inner_cols_(std::move(inner_cols)),
+        outer_key_(outer_key),
+        residual_(std::move(residual)),
+        left_layout_(std::move(left_layout)),
+        combined_layout_(std::move(combined_layout)),
+        stats_(stats) {}
+
+  std::vector<Operator*> Children() override { return {left_.get()}; }
+  ScanOp* MorselDriver() override { return left_->MorselDriver(); }
+  const char* Kind() const override { return "index_join"; }
+  void ShapeToken(std::string* out) const override;
+
+ protected:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Tuple* row) override;
+  // Probes one whole left batch per call, emitting every match (output may
+  // exceed the nominal capacity, as in HashJoinOp).
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
+  void CloseImpl() override { left_->Close(); }
+
+  void ExplainImpl(int depth, std::string* out) const override;
+
+ private:
+  // The index bucket matching `left`'s key; null when the key is NULL or
+  // has no match.
+  Result<const std::vector<Rid>*> Probe(const Tuple& left);
+  // Appends `left` + the inner image of table row `rid` to `*combined` and
+  // applies the residual; false when the row is dead or filtered out.
+  Result<bool> Combine(const Tuple& left, Rid rid, Tuple* combined);
+
+  OperatorPtr left_;
+  const Table* table_;
+  int column_;
+  std::vector<int> inner_cols_;
+  const qgm::Expr* outer_key_;
+  std::vector<const qgm::Expr*> residual_;
+  Layout left_layout_;
+  Layout combined_layout_;
+  ExecStats* stats_;
+
+  const HashIndex* index_ = nullptr;
+  Tuple current_left_;
+  const std::vector<Rid>* matches_ = nullptr;
   size_t match_pos_ = 0;
   std::unique_ptr<TupleBatch> left_batch_;  // probe-side batch (batch mode)
 };

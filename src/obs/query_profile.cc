@@ -10,7 +10,9 @@ const char* ClassifyOp(const std::string& op) {
       op == "virtual_scan" || op == "spool_read") {
     return "scan";
   }
-  if (op == "hash_join" || op == "nl_join") return "join";
+  if (op == "hash_join" || op == "index_join" || op == "nl_join") {
+    return "join";
+  }
   if (op == "filter" || op == "exists") return "filter";
   return "other";
 }

@@ -41,6 +41,10 @@ bool ContainsAgg(const Expr& e) {
   return false;
 }
 
+// An index nested-loop join is chosen when its estimated fetched rows stay
+// under this fraction of the table — the rows a hash join's build reads.
+constexpr double kIndexJoinMaxFetchFraction = 0.5;
+
 // A single-empty-tuple source for quantifier-free boxes (SELECT 1).
 class OneRowOp : public Operator {
  protected:
@@ -70,13 +74,22 @@ class OneRowOp : public Operator {
 
 Result<OperatorPtr> Planner::BoxIterator(int box_id) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  const Box* box = graph_->box(box_id);
+  // Base tables, and pass-through boxes over them, are re-read per
+  // consumer: a spool would only copy the table, and hide its indexes.
+  std::vector<int> cols;
   bool shared = options_.spool_shared &&
                 graph_->ConsumerRefCount(box_id) > 1 &&
-                box->kind != BoxKind::kBaseTable;
+                PassThroughBase(box_id, &cols) == nullptr;
   if (shared) {
     XNFDB_ASSIGN_OR_RETURN(auto rows, MaterializeBox(box_id));
-    OperatorPtr op = std::make_unique<MaterializedOp>(rows, stats_);
+    // The first reader of a spool carries its build plan for EXPLAIN.
+    std::string build_plan;
+    if (auto it = spool_plans_.find(box_id); it != spool_plans_.end()) {
+      build_plan = std::move(it->second);
+      spool_plans_.erase(it);
+    }
+    OperatorPtr op =
+        std::make_unique<MaterializedOp>(rows, stats_, std::move(build_plan));
     // The spool is already materialized: the "estimate" is exact.
     op->SetEstimatedRows(static_cast<double>(rows->size()));
     if (options_.analyze) op->EnableAnalyze();
@@ -98,10 +111,12 @@ Result<std::shared_ptr<const std::vector<Tuple>>> Planner::MaterializeBox(
   // Spool builds run plan-time: attach governance so a cancel/deadline/
   // budget cuts the drain short, and charge the spooled rows.
   if (options_.context != nullptr) op->AttachContext(options_.context);
+  if (options_.analyze) op->EnableAnalyze();
   XNFDB_ASSIGN_OR_RETURN(
       std::vector<Tuple> rows,
       DrainOperator(op.get(), options_.batch_size, options_.context));
   if (stats_ != nullptr) ++stats_->spool_builds;
+  if (options_.analyze) op->Explain(0, &spool_plans_[box_id]);
   auto shared = std::make_shared<const std::vector<Tuple>>(std::move(rows));
   spools_[box_id] = shared;
   return shared;
@@ -111,6 +126,32 @@ Table* Planner::OverrideFor(const std::string& name) const {
   if (options_.table_overrides == nullptr) return nullptr;
   auto it = options_.table_overrides->find(name);
   return it == options_.table_overrides->end() ? nullptr : it->second;
+}
+
+const Box* Planner::PassThroughBase(int box_id, std::vector<int>* cols) const {
+  const Box* box = graph_->box(box_id);
+  cols->clear();
+  for (size_t i = 0; i < box->HeadArity(); ++i) {
+    cols->push_back(static_cast<int>(i));
+  }
+  while (box->kind == BoxKind::kSelect) {
+    if (box->quants.size() != 1 ||
+        box->quants[0].kind != QuantKind::kForeach || !box->preds.empty() ||
+        !box->exists_groups.empty() || !box->group_by.empty() ||
+        box->distinct || !box->order_by.empty() || box->limit >= 0 ||
+        box->offset > 0) {
+      return nullptr;
+    }
+    for (const qgm::HeadColumn& h : box->head) {
+      if (h.expr == nullptr || h.expr->kind != Expr::Kind::kColRef ||
+          h.expr->quant_id != box->quants[0].id) {
+        return nullptr;
+      }
+    }
+    for (int& c : *cols) c = box->head[c].expr->column;
+    box = graph_->box(box->quants[0].box_id);
+  }
+  return box->kind == BoxKind::kBaseTable ? box : nullptr;
 }
 
 Result<OperatorPtr> Planner::CompileBox(int box_id) {
@@ -202,6 +243,7 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
       } else {
         continue;
       }
+      if (lit->literal.is_null()) continue;  // col = NULL matches no row
       if (table->GetIndex(col->column) == nullptr) continue;
       op = std::make_unique<IndexScanOp>(table, col->column, lit->literal,
                                          stats_);
@@ -504,7 +546,6 @@ Result<OperatorPtr> Planner::BuildJoinTree(
     if (pick < 0) pick = cheapest(false, joined);
     const Quantifier* q = remaining[pick];
     remaining.erase(remaining.begin() + pick);
-    XNFDB_ASSIGN_OR_RETURN(OperatorPtr inner, QuantSource(*q, pushed[q->id]));
     size_t inner_width = graph_->box(q->box_id)->HeadArity();
     Layout inner_layout;
     inner_layout.Add(q->id, 0, inner_width);
@@ -523,6 +564,25 @@ Result<OperatorPtr> Planner::BuildJoinTree(
         pred_used[i] = true;
       }
     }
+    const double outer_card = card;
+    card *= QuantCard(*q, pushed[q->id]);
+    for (const Expr* p : ready) card *= PredSelectivity(*p);
+    card = std::max(card, 1.0);
+
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr index_join,
+                           IndexJoin(*q, ready, pushed[q->id], joined,
+                                     outer_card, &current, current_layout,
+                                     combined));
+    if (index_join != nullptr) {
+      current = std::move(index_join);
+      current->SetEstimatedRows(card);
+      current_layout = combined;
+      width += inner_width;
+      joined.insert(q->id);
+      continue;
+    }
+
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr inner, QuantSource(*q, pushed[q->id]));
     // Extract hash keys: `left = right` with left bound by joined set and
     // right by {q} (or vice versa).
     std::vector<const Expr*> left_keys, right_keys, residual;
@@ -547,9 +607,6 @@ Result<OperatorPtr> Planner::BuildJoinTree(
       }
       if (!is_equi) residual.push_back(p);
     }
-    card *= QuantCard(*q, pushed[q->id]);
-    for (const Expr* p : ready) card *= PredSelectivity(*p);
-    card = std::max(card, 1.0);
     if (!left_keys.empty()) {
       current = std::make_unique<HashJoinOp>(
           std::move(current), std::move(inner), std::move(left_keys),
@@ -580,6 +637,57 @@ Result<OperatorPtr> Planner::BuildJoinTree(
   }
   *layout = current_layout;
   return current;
+}
+
+Result<OperatorPtr> Planner::IndexJoin(
+    const Quantifier& q, const std::vector<const Expr*>& ready,
+    const std::vector<const Expr*>& pushed, const std::set<int>& joined,
+    double outer_card, OperatorPtr* outer, const Layout& outer_layout,
+    const Layout& combined) {
+  if (!options_.use_indexes) return OperatorPtr();
+  std::vector<int> cols;
+  const Box* base = PassThroughBase(q.box_id, &cols);
+  if (base == nullptr || OverrideFor(base->table_name) != nullptr ||
+      !catalog_->HasTable(base->table_name)) {
+    return OperatorPtr();
+  }
+  XNFDB_ASSIGN_OR_RETURN(Table * table, catalog_->GetTable(base->table_name));
+  const double rows = static_cast<double>(table->row_count());
+  // The cheapest ready `outer expr = q.col` on a hash-indexed column.
+  int best = -1;
+  int best_col = -1;
+  const Expr* best_key = nullptr;
+  double best_fetched = rows * kIndexJoinMaxFetchFraction;
+  for (size_t i = 0; i < ready.size(); ++i) {
+    const Expr* p = ready[i];
+    if (p->kind != Expr::Kind::kBinary || p->op != "=") continue;
+    for (auto [key, col] : {std::pair(p->lhs.get(), p->rhs.get()),
+                            std::pair(p->rhs.get(), p->lhs.get())}) {
+      if (col->kind != Expr::Kind::kColRef || col->quant_id != q.id ||
+          !BoundBy(*key, joined) || !ReferencesAny(*key, joined)) {
+        continue;
+      }
+      const HashIndex* index = table->GetIndex(cols[col->column]);
+      if (index == nullptr) continue;
+      const double fetched =
+          outer_card * rows /
+          static_cast<double>(std::max<size_t>(index->DistinctKeys(), 1));
+      if (fetched < best_fetched) {
+        best = static_cast<int>(i);
+        best_col = cols[col->column];
+        best_key = key;
+        best_fetched = fetched;
+      }
+    }
+  }
+  if (best < 0) return OperatorPtr();
+  std::vector<const Expr*> residual = pushed;
+  for (size_t i = 0; i < ready.size(); ++i) {
+    if (static_cast<int>(i) != best) residual.push_back(ready[i]);
+  }
+  return OperatorPtr(std::make_unique<IndexJoinOp>(
+      std::move(*outer), table, best_col, std::move(cols), best_key,
+      std::move(residual), outer_layout, combined, stats_));
 }
 
 Result<OperatorPtr> Planner::CompileSelect(const Box& box) {

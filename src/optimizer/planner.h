@@ -3,14 +3,21 @@
 //
 // The planner performs the classic relational choices the paper leans on:
 //  * access-path selection — hash-index lookups for `col = literal`
-//    predicates on base tables, scans otherwise;
-//  * join-method selection — hash join for equi-predicates, nested loops
-//    otherwise;
+//    predicates on base tables (never for `col = NULL`), ordered-index
+//    range scans for comparisons, scans otherwise;
+//  * join-method selection — an index nested-loop join when the next
+//    quantifier ranges over a base table (directly or through pass-through
+//    boxes), an equi-predicate binds one of its hash-indexed columns to the
+//    joined prefix, and the estimated fetched rows (prefix rows × table rows
+//    / distinct keys) stay under half the table; otherwise a hash join for
+//    equi-predicates, nested loops for the rest;
 //  * join ordering — greedy smallest-cardinality-first with connectivity
 //    preference, driven by table statistics;
 //  * common-subexpression sharing — boxes with more than one consumer are
 //    spooled (materialized once, read many times), which realizes the
 //    multi-query optimization the XNF rewrite sets up (Sect. 4.2, 5.1).
+//    Base tables and pass-through boxes over them are never spooled: each
+//    consumer reads the table itself, through its indexes where a join can.
 
 #ifndef XNFDB_OPTIMIZER_PLANNER_H_
 #define XNFDB_OPTIMIZER_PLANNER_H_
@@ -18,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -28,7 +36,7 @@
 namespace xnfdb {
 
 struct PlanOptions {
-  bool use_indexes = true;
+  bool use_indexes = true;    // false => no index scans or index joins
   bool use_hash_join = true;  // false => nested-loop joins only
   bool naive_exists = false;  // per-outer-row subquery scans (Sect. 3.2 naive)
   bool spool_shared = true;   // false => recompute shared boxes per consumer
@@ -86,6 +94,27 @@ class Planner {
       const std::vector<const qgm::Quantifier*>& quants,
       const std::vector<const qgm::Expr*>& preds, Layout* layout);
 
+  // Index nested-loop join of `*outer` (the joined prefix: quantifiers
+  // `joined`, estimated `outer_card` rows, laid out by `outer_layout`) with
+  // `q`, when q ranges over a catalog base table — directly or through
+  // pass-through boxes — and a `ready` equi-predicate binds a hash-indexed
+  // column of it to the prefix with few enough estimated fetches. Consumes
+  // `*outer` and returns the join; returns null (leaving `*outer` alone)
+  // otherwise.
+  Result<OperatorPtr> IndexJoin(const qgm::Quantifier& q,
+                                const std::vector<const qgm::Expr*>& ready,
+                                const std::vector<const qgm::Expr*>& pushed,
+                                const std::set<int>& joined, double outer_card,
+                                OperatorPtr* outer, const Layout& outer_layout,
+                                const Layout& combined);
+
+  // The base-table box under `box_id` when `box_id` is one or reaches one
+  // through pass-through SELECT boxes (one F-quantifier; no predicates,
+  // exists groups, grouping, distinct, ordering or limit; a head of plain
+  // column references); null otherwise. `*cols` receives the base column
+  // behind each head column of `box_id`.
+  const qgm::Box* PassThroughBase(int box_id, std::vector<int>* cols) const;
+
   // Source for one quantifier with its single-quantifier predicates pushed
   // down (index lookup when possible).
   Result<OperatorPtr> QuantSource(const qgm::Quantifier& q,
@@ -111,6 +140,9 @@ class Planner {
   // require materializing its inputs.
   std::recursive_mutex mu_;
   std::map<int, std::shared_ptr<const std::vector<Tuple>>> spools_;
+  // EXPLAIN ANALYZE: each spool's annotated build plan, handed to the
+  // spool's first reader.
+  std::map<int, std::string> spool_plans_;
   std::map<int, double> card_cache_;
 };
 

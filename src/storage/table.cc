@@ -7,7 +7,10 @@
 namespace xnfdb {
 
 void HashIndex::Insert(const Value& key, Rid rid) {
-  buckets_[key].push_back(rid);
+  std::vector<Rid>& rids = buckets_[key];
+  // Fresh rows carry the largest RID and append; an updated row re-enters
+  // its new bucket at its sorted position.
+  rids.insert(std::upper_bound(rids.begin(), rids.end(), rid), rid);
 }
 
 void HashIndex::Erase(const Value& key, Rid rid) {
@@ -62,7 +65,7 @@ Result<Rid> Table::Insert(Tuple row) {
   rows_.push_back(std::move(row));
   deleted_.push_back(false);
   ++live_count_;
-  InvalidateStats();
+  NoteWrite();
   return rid;
 }
 
@@ -81,7 +84,7 @@ Status Table::Update(Rid rid, Tuple row) {
     index->Insert(row[index->column()], rid);
   }
   rows_[rid] = std::move(row);
-  InvalidateStats();
+  NoteWrite();
   return Status::Ok();
 }
 
@@ -111,7 +114,7 @@ Status Table::Delete(Rid rid) {
   }
   deleted_[rid] = true;
   --live_count_;
-  InvalidateStats();
+  NoteWrite();
   return Status::Ok();
 }
 
@@ -159,7 +162,10 @@ const HashIndex* Table::GetIndex(int column) const {
 }
 
 const ColumnStats& Table::GetColumnStats(int column) const {
-  if (!stats_valid_) ComputeStats();
+  if (!stats_computed_ ||
+      writes_since_stats_ * kStatsRefreshDivisor > live_count_) {
+    ComputeStats();
+  }
   return stats_[column];
 }
 
@@ -181,7 +187,8 @@ void Table::ComputeStats() const {
     }
     cs.distinct = distinct.size();
   }
-  stats_valid_ = true;
+  stats_computed_ = true;
+  writes_since_stats_ = 0;
 }
 
 }  // namespace xnfdb

@@ -33,8 +33,9 @@ class HashIndex {
   void Insert(const Value& key, Rid rid);
   void Erase(const Value& key, Rid rid);
 
-  // All RIDs whose indexed column equals `key` (may contain stale entries
-  // only if the caller bypassed Table::Update; Table maintains it).
+  // All RIDs whose indexed column equals `key`, in ascending RID order (the
+  // order a scan meets them). May contain stale entries only if the caller
+  // bypassed Table::Update; Table maintains it.
   const std::vector<Rid>* Lookup(const Value& key) const;
 
   size_t DistinctKeys() const { return buckets_.size(); }
@@ -132,11 +133,17 @@ class Table {
   // The ordered index on `column`, or nullptr.
   const OrderedIndex* GetOrderedIndex(int column) const;
 
-  // Recomputed-on-demand column statistics (cached until next mutation).
+  // Column statistics, computed on demand and cached. Writes only count
+  // against the cache: it is recomputed once the writes since the last
+  // computation exceed 1/kStatsRefreshDivisor of the live rows, so a stream
+  // of single-row writes does not rescan the table before every plan.
+  // Statistics only steer plan costs; row_count() is always exact.
   const ColumnStats& GetColumnStats(int column) const;
 
+  static constexpr size_t kStatsRefreshDivisor = 10;
+
  private:
-  void InvalidateStats() { stats_valid_ = false; }
+  void NoteWrite() { ++writes_since_stats_; }
   void ComputeStats() const;
 
   std::string name_;
@@ -147,7 +154,8 @@ class Table {
   std::vector<std::unique_ptr<HashIndex>> indexes_;
   std::vector<std::unique_ptr<OrderedIndex>> ordered_indexes_;
 
-  mutable bool stats_valid_ = false;
+  mutable bool stats_computed_ = false;
+  mutable size_t writes_since_stats_ = 0;
   mutable std::vector<ColumnStats> stats_;
 };
 

@@ -8,6 +8,8 @@
 #include <set>
 #include <string>
 
+#include <unistd.h>
+
 #include "cache/seamless.h"
 #include "cache/serialize.h"
 #include "cache/writeback.h"
@@ -176,7 +178,11 @@ TEST_P(CacheTest, InsertAndDeleteWriteBack) {
 }
 
 TEST_P(CacheTest, SaveAndLoadRoundTrips) {
-  std::string path = ::testing::TempDir() + "/xnfcache_roundtrip.xc";
+  // One file per parameter instance and process: instances run in
+  // parallel under `ctest -j` and must not remove each other's file.
+  std::string path = ::testing::TempDir() + "/xnfcache_roundtrip_" +
+                     (GetParam() ? "swizzled" : "tidlookup") + "_" +
+                     std::to_string(getpid()) + ".xc";
   ASSERT_TRUE(cache_->SaveTo(path).ok());
   XNFCache::Options options;
   options.workspace.swizzle = GetParam();

@@ -32,13 +32,15 @@ TEST(ExplainAnalyzeTest, AnnotatesEveryDepsArcOperator) {
   EXPECT_NE(text.find("output EMPLOYMENT [connection]:"), std::string::npos)
       << text;
   EXPECT_NE(text.find("stats: "), std::string::npos) << text;
+  // The skills components are fetched through the SKILLS key index.
+  EXPECT_NE(text.find("IndexJoin(SKILLS.SNO = "), std::string::npos) << text;
   // Every operator line carries actuals (ExistsFilter group-detail lines
   // are descriptions, not operators, and stay unannotated).
   const std::vector<std::string> kOps = {
       "Scan(",   "IndexScan(", "RangeScan(",      "SpoolRead(",
       "Filter(", "Project(",   "HashJoin(",       "NestedLoopJoin(",
       "Union",   "Aggregate(", "ExistsFilter(",   "Distinct",
-      "Sort(",   "Limit("};
+      "Sort(",   "Limit(",     "IndexJoin("};
   size_t operator_lines = 0, annotated_lines = 0;
   size_t start = 0;
   while (start < text.size()) {

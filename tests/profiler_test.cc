@@ -192,6 +192,7 @@ TEST(QueryProfileTest, ClassifyOpBuckets) {
   EXPECT_STREQ(obs::ClassifyOp("index_scan"), "scan");
   EXPECT_STREQ(obs::ClassifyOp("virtual_scan"), "scan");
   EXPECT_STREQ(obs::ClassifyOp("hash_join"), "join");
+  EXPECT_STREQ(obs::ClassifyOp("index_join"), "join");
   EXPECT_STREQ(obs::ClassifyOp("nl_join"), "join");
   EXPECT_STREQ(obs::ClassifyOp("filter"), "filter");
   EXPECT_STREQ(obs::ClassifyOp("exists"), "filter");

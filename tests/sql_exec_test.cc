@@ -320,6 +320,26 @@ TEST_F(SqlTest, LikePatterns) {
   EXPECT_EQ(rows.size(), 2u);  // bob, erin
 }
 
+TEST_F(SqlTest, EqualsNullMatchesNoRowThroughAnIndex) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE T (K INTEGER, V INTEGER);
+    CREATE INDEX ON T (K);
+    INSERT INTO T VALUES (NULL, 1), (2, 2);
+  )sql")
+                  .ok());
+  ExecOptions scans;
+  scans.plan.use_indexes = false;
+  for (const char* sql : {"SELECT V FROM T WHERE K = NULL",
+                          "SELECT V FROM T WHERE NULL = K"}) {
+    for (const ExecOptions& opts : {ExecOptions{}, scans}) {
+      Result<QueryResult> r = db_.Query(sql, {}, opts);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value().rows().empty())
+          << sql << " use_indexes=" << opts.plan.use_indexes;
+    }
+  }
+}
+
 TEST_F(SqlTest, IndexAccessPathUsed) {
   // DNO is the PK and indexed; equality predicates should use it.
   Result<QueryResult> r = db_.Query("SELECT DNAME FROM DEPT WHERE DNO = 2");

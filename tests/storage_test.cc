@@ -94,6 +94,39 @@ TEST(TableTest, StatsTrackDistinctAndMinMax) {
   EXPECT_EQ(t.GetColumnStats(2).distinct, 3u);
 }
 
+TEST(TableTest, StatsRefreshOnlyAfterTenPercentWrites) {
+  Table t("EMP", EmpSchema());
+  for (int64_t i = 0; i < 100; ++i) t.Insert(Emp(i, "e", i)).value();
+  EXPECT_EQ(t.GetColumnStats(2).distinct, 100u);
+  // 10 writes against 110 live rows stay under the threshold: the cached
+  // statistics are kept, while the row count is exact.
+  for (int64_t i = 100; i < 110; ++i) t.Insert(Emp(i, "e", i)).value();
+  EXPECT_EQ(t.row_count(), 110u);
+  EXPECT_EQ(t.GetColumnStats(2).distinct, 100u);
+  EXPECT_EQ(t.GetColumnStats(0).max.AsInt(), 99);
+  // The 11th write (111 live rows) still does not cross 10%; the 12th, a
+  // delete leaving 110 live rows, does and the statistics are recomputed.
+  t.Insert(Emp(110, "e", 110)).value();
+  EXPECT_EQ(t.GetColumnStats(2).distinct, 100u);
+  ASSERT_TRUE(t.Delete(0).ok());
+  EXPECT_EQ(t.GetColumnStats(2).distinct, 110u);
+  EXPECT_EQ(t.GetColumnStats(0).min.AsInt(), 1);
+  EXPECT_EQ(t.GetColumnStats(0).max.AsInt(), 110);
+}
+
+TEST(TableTest, IndexBucketsStayInRidOrder) {
+  Table t("EMP", EmpSchema());
+  for (int64_t i = 0; i < 6; ++i) t.Insert(Emp(i, "e", i % 2)).value();
+  ASSERT_TRUE(t.CreateIndex("EDNO").ok());
+  // Moving RID 0 out of and back into key 0 re-enters it at the front.
+  ASSERT_TRUE(t.UpdateColumn(0, 2, Value(int64_t{1})).ok());
+  ASSERT_TRUE(t.UpdateColumn(0, 2, Value(int64_t{0})).ok());
+  ASSERT_TRUE(t.UpdateColumn(3, 2, Value(int64_t{0})).ok());
+  const std::vector<Rid>* rids = t.GetIndex(2)->Lookup(Value(int64_t{0}));
+  ASSERT_NE(rids, nullptr);
+  EXPECT_EQ(*rids, (std::vector<Rid>{0, 2, 3, 4}));
+}
+
 TEST(CatalogTest, CreateGetDropTable) {
   Catalog c;
   ASSERT_TRUE(c.CreateTable("Emp", EmpSchema()).ok());
