@@ -327,26 +327,26 @@ int main() {
         }
       } else if (cmd == ".top") {
         long long n = arg.empty() ? 10 : std::atoll(arg.c_str());
-        std::vector<xnfdb::obs::StatementSnapshot> stmts =
-            db.statement_stats().Snapshot();
+        std::vector<xnfdb::obs::DigestRecord> stmts =
+            db.digest_store().Snapshot();
         std::sort(stmts.begin(), stmts.end(),
                   [](const auto& a, const auto& b) {
                     return a.total_us > b.total_us;
                   });
         std::printf("%-18s %8s %10s %10s  %s\n", "DIGEST", "CALLS",
                     "TOTAL_US", "AVG_US", "SELF scan/join/filter/other + TEXT");
-        for (const xnfdb::obs::StatementSnapshot& s : stmts) {
+        for (const xnfdb::obs::DigestRecord& s : stmts) {
+          if (s.calls == 0) continue;  // compiled, never finished
           if (n-- <= 0) break;
-          xnfdb::obs::QueryProfileStore::ClassTotals cls =
-              db.query_profiles().ClassSelfTimes(s.digest);
           std::printf("%-18s %8lld %10lld %10lld  %lld/%lld/%lld/%lld %s\n",
                       s.digest_hex.c_str(), static_cast<long long>(s.calls),
                       static_cast<long long>(s.total_us),
                       static_cast<long long>(s.avg_us()),
-                      static_cast<long long>(cls.scan_us),
-                      static_cast<long long>(cls.join_us),
-                      static_cast<long long>(cls.filter_us),
-                      static_cast<long long>(cls.other_us), s.text.c_str());
+                      static_cast<long long>(s.scan_self_us),
+                      static_cast<long long>(s.join_self_us),
+                      static_cast<long long>(s.filter_self_us),
+                      static_cast<long long>(s.other_self_us),
+                      s.text.c_str());
         }
       } else if (cmd == ".watchdog") {
         xnfdb::WatchdogOptions wopts = db.watchdog().options();

@@ -199,8 +199,7 @@ Database::Database(Env* env) : env_(env) {
   metrics_->GetCounter("writeback.retries");
   metrics_->GetCounter("writeback.failures");
   // The catalog is empty at this point, so name collisions are impossible.
-  Status registered = RegisterSystemViews(&catalog_, metrics_, &statements_,
-                                          &profiles_, &plan_feedback_);
+  Status registered = RegisterSystemViews(&catalog_, metrics_, &digests_);
   (void)registered;
   // SYS$QUERIES, SYS$EVENTS, SYS$HEALTH, SYS$ALERTS, SYS$METRICS_HISTORY
   // and the watchdog are registered / created here rather than in
@@ -299,7 +298,8 @@ void Database::RecordStatement(const Fingerprint& fp, const char* kind,
                                int64_t total_us, int64_t compile_us,
                                int64_t execute_us,
                                const std::vector<std::string>* plan_texts) {
-  statements_.Record(fp.digest, fp.text, kind, status.ok(), rows, total_us);
+  digests_.RecordStatement(fp.digest, fp.text, kind, status.ok(), rows,
+                           total_us);
   if (slow_query_threshold_us_ < 0) return;
   // While armed, the slow-query log also attributes every governor
   // termination — a killed or deadlined statement is exactly the kind of
@@ -322,7 +322,7 @@ void Database::RecordStatement(const Fingerprint& fp, const char* kind,
   // When cardinality feedback is on, attribute the slowness: name the
   // operator whose estimate was furthest from its actual row count.
   if (capture_feedback_) {
-    obs::OpFeedback worst = plan_feedback_.TopMisestimate(fp.digest);
+    obs::OpFeedback worst = digests_.TopMisestimate(fp.digest);
     if (!worst.op.empty()) {
       char buf[160];
       std::snprintf(buf, sizeof(buf), "%s/%s est=%lld actual=%lld q=%.2f",
@@ -363,8 +363,8 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
   // Capture the compile-side rewrite trace before execution: even a
   // statement that fails at runtime keeps its rule log in SYS$REWRITES.
   if (capture_feedback_) {
-    plan_feedback_.RecordCompile(compiled.digest, compiled.normalized_text,
-                                 compiled.rewrite_stats.trace);
+    digests_.RecordCompile(compiled.digest, compiled.normalized_text,
+                           compiled.rewrite_stats.trace);
   }
   // A caller-supplied context is honoured as-is (its limits are the
   // caller's business); otherwise build one from the per-call knobs,
@@ -417,7 +417,7 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
     serve = matviews_.TryServe(compiled.digest, &mv);
     if (!serve) {
       int64_t prior_calls = 0, prior_avg_us = 0;
-      statements_.Stats(compiled.digest, &prior_calls, &prior_avg_us);
+      digests_.Stats(compiled.digest, &prior_calls, &prior_avg_us);
       capture =
           matviews_.WantCapture(compiled.digest, prior_calls, prior_avg_us);
       if (capture) eo.collect_dedup_counts = true;
@@ -444,25 +444,26 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
       "query", result.ok() ? "info" : "warn", "query end",
       "digest=" + digest_hex + " status=" +
           (result.ok() ? "ok" : TerminationKeyword(result.status())));
-  // Always-on profile capture: one store write per successful execution
-  // (the fixpoint path has no operator tree, so only the summary fields are
-  // meaningful there).
-  if (result.ok() && eo.collect_profile) {
-    obs::QueryProfile& profile = result.value().profile;
-    profile.wall_us = NowUs() - exec_t0;
-    profile.queue_wait_us = eo.context->queue_wait_us();
-    profile.peak_bytes = eo.context->bytes_reserved();
-    profile.rows_out = result.value().stats.rows_output;
-    profiles_.Record(compiled.digest, compiled.normalized_text, profile);
+  if (!result.ok()) return result;
+  // Always-on capture: one store write per successful execution carries the
+  // profile and the plan-quality feedback together (the fixpoint path has
+  // no operator tree, so only the profile's summary fields are meaningful
+  // there and it has no plan to record).
+  QueryResult& r = result.value();
+  const int64_t execute_us = NowUs() - exec_t0;
+  const bool record_plan = eo.collect_feedback && !compiled.needs_fixpoint &&
+                           !r.plan_shape.empty();
+  if (!eo.collect_profile && !record_plan) return result;
+  if (eo.collect_profile) {
+    r.profile.wall_us = execute_us;
+    r.profile.queue_wait_us = eo.context->queue_wait_us();
+    r.profile.peak_bytes = eo.context->bytes_reserved();
+    r.profile.rows_out = r.stats.rows_output;
   }
-  // Plan-quality feedback: join estimates vs actuals and append to the
-  // plan-shape history (the fixpoint path has no operator tree, so there is
-  // nothing to record there).
-  if (result.ok() && eo.collect_feedback && !compiled.needs_fixpoint &&
-      !result.value().plan_shape.empty()) {
-    QueryResult& r = result.value();
-    // Q-error blowup accounting must read the feedback before it is moved
-    // into the store below.
+  std::vector<obs::OpFeedback> feedback;
+  if (record_plan) {
+    // Q-error blowup accounting reads the feedback before it moves into
+    // the store.
     double worst_q = 0.0;
     for (const obs::OpFeedback& f : r.feedback) {
       if (f.est_rows >= 0 && f.q_error > worst_q) worst_q = f.q_error;
@@ -470,20 +471,22 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
     if (worst_q >= static_cast<double>(qerror_alert_)) {
       qerror_blowups_->Increment();
     }
-    obs::PlanFeedbackStore::PlanChange change = plan_feedback_.RecordExecution(
-        compiled.digest, compiled.normalized_text, r.plan_hash, r.plan_shape,
-        NowUs() - exec_t0, std::move(r.feedback));
+    feedback = std::move(r.feedback);
     r.feedback.clear();
-    if (change.changed) {
-      metrics_->GetCounter("plan.changes")->Increment();
-      Logger::Default().Log(
-          LogLevel::kWarn, "planchange", "statement plan changed",
-          {LogField::S("digest", obs::DigestHex(compiled.digest)),
-           LogField::S("text", compiled.normalized_text),
-           LogField::S("from_plan", obs::DigestHex(change.from)),
-           LogField::S("to_plan", obs::DigestHex(change.to)),
-           LogField::N("executions", change.executions)});
-    }
+  }
+  obs::DigestStore::PlanChange change = digests_.RecordExecution(
+      compiled.digest, compiled.normalized_text, execute_us,
+      eo.collect_profile ? &r.profile : nullptr, r.plan_hash,
+      record_plan ? r.plan_shape : std::string(), std::move(feedback));
+  if (change.changed) {
+    metrics_->GetCounter("plan.changes")->Increment();
+    Logger::Default().Log(
+        LogLevel::kWarn, "planchange", "statement plan changed",
+        {LogField::S("digest", obs::DigestHex(compiled.digest)),
+         LogField::S("text", compiled.normalized_text),
+         LogField::S("from_plan", obs::DigestHex(change.from)),
+         LogField::S("to_plan", obs::DigestHex(change.to)),
+         LogField::N("executions", change.executions)});
   }
   return result;
 }
@@ -734,22 +737,23 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
     write_file("samples.diag", {{"SAMPLES", n, std::move(samples)}});
   }
   {
+    std::vector<obs::DigestRecord> records = digests_.Snapshot();
     std::string profs;
     size_t n = 0;
-    for (const obs::QueryProfileSnapshot& s : profiles_.Snapshot()) {
+    for (const obs::DigestRecord& s : records) {
+      if (s.captures == 0) continue;
+      const obs::QueryProfile& last = s.last_profile;
       profs += s.digest_hex + " captures=" + std::to_string(s.captures) +
-               " wall_us=" + std::to_string(s.last.wall_us) +
-               " queue_wait_us=" + std::to_string(s.last.queue_wait_us) +
-               " peak_bytes=" + std::to_string(s.last.peak_bytes) +
-               " rows_out=" + std::to_string(s.last.rows_out) + "\n";
+               " wall_us=" + std::to_string(last.wall_us) +
+               " queue_wait_us=" + std::to_string(last.queue_wait_us) +
+               " peak_bytes=" + std::to_string(last.peak_bytes) +
+               " rows_out=" + std::to_string(last.rows_out) + "\n";
       ++n;
     }
     write_file("profiles.diag", {{"PROFILES", n, std::move(profs)}});
-  }
-  {
     std::string fb;
-    size_t n = 0;
-    for (const obs::PlanFeedbackSnapshot& s : plan_feedback_.Snapshot()) {
+    n = 0;
+    for (const obs::DigestRecord& s : records) {
       for (const obs::OpFeedback& w : s.worst) {
         char buf[256];
         std::snprintf(buf, sizeof(buf),

@@ -10,6 +10,7 @@
 #ifndef XNFDB_API_DATABASE_H_
 #define XNFDB_API_DATABASE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,13 +21,11 @@
 #include "common/env.h"
 #include "common/status.h"
 #include "exec/executor.h"
+#include "obs/digest_store.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/plan_feedback.h"
-#include "obs/query_profile.h"
 #include "obs/sampler.h"
-#include "obs/statement_stats.h"
 #include "obs/trace.h"
 #include "parser/ast.h"
 #include "parser/fingerprint.h"
@@ -119,29 +118,22 @@ class Database {
     return metrics_->ToPrometheusText();
   }
 
-  // Per-statement-shape statistics (the store behind sys$statements):
-  // every Execute/Query/QueryXnf fingerprints its statement and
-  // accumulates calls, errors, rows and latency quantiles per digest.
-  const obs::StatementStore& statement_stats() const { return statements_; }
-  obs::StatementStore& statement_stats() { return statements_; }
-
-  // Always-on per-query profiles (the store behind SYS$QUERY_PROFILES):
-  // every successful query execution captures its per-operator-class
-  // actuals, morsel-worker breakdown, memory high-water and queue wait
-  // under its statement fingerprint. XNFDB_QUERY_PROFILES=0 disables
-  // capture.
-  const obs::QueryProfileStore& query_profiles() const { return profiles_; }
-  obs::QueryProfileStore& query_profiles() { return profiles_; }
-
-  // Plan-quality feedback (the store behind SYS$REWRITES, SYS$PLAN_FEEDBACK
-  // and SYS$PLAN_HISTORY): every compile captures the statement's ordered
-  // rewrite-rule trace, and every successful execution joins the planner's
-  // cardinality estimates against the operators' actuals (worst q-error
-  // offenders per statement) and appends to the plan-shape history. A plan
-  // flip emits one structured warn line on the "planchange" channel and
-  // bumps the plan.changes counter. XNFDB_PLAN_FEEDBACK=0 disables capture.
-  const obs::PlanFeedbackStore& plan_feedback() const { return plan_feedback_; }
-  obs::PlanFeedbackStore& plan_feedback() { return plan_feedback_; }
+  // The per-statement-digest store behind SYS$STATEMENTS, the
+  // `stmt.<digest>.us` histograms, SYS$QUERY_PROFILES, SYS$REWRITES,
+  // SYS$PLAN_FEEDBACK and SYS$PLAN_HISTORY. Every Execute/Query/QueryXnf
+  // fingerprints its statement and keeps one record per digest:
+  //  - calls, errors, rows and latency quantiles of every statement;
+  //  - each successful query execution's per-operator-class actuals,
+  //    morsel-worker breakdown, memory high-water and queue wait
+  //    (XNFDB_QUERY_PROFILES=0 leaves this part empty);
+  //  - each compile's ordered rewrite-rule trace, and each execution's
+  //    planner estimates joined against operator actuals (worst q-error
+  //    offenders) plus its plan shape in the plan history
+  //    (XNFDB_PLAN_FEEDBACK=0 leaves this part empty). A plan flip emits
+  //    one structured warn line on the "planchange" channel and bumps the
+  //    plan.changes counter.
+  const obs::DigestStore& digest_store() const { return digests_; }
+  obs::DigestStore& digest_store() { return digests_; }
 
   // The metrics time-series sampler behind SYS$METRICS_HISTORY. Its
   // background thread starts when XNFDB_METRICS_SAMPLE_MS > 0 (ring size
@@ -201,10 +193,10 @@ class Database {
   // Every Execute/Query counts one server call; per-tuple cursor fetches
   // (see FetchAll) count one call per tuple, modelling the traditional
   // "one tuple at a time" interface.
-  int64_t server_calls() const { return server_calls_; }
-  void ResetServerCalls() { server_calls_ = 0; }
+  int64_t server_calls() const { return server_calls_.load(); }
+  void ResetServerCalls() { server_calls_.store(0); }
   void CountServerCall(int64_t n = 1) {
-    server_calls_ += n;
+    server_calls_.fetch_add(n);
     server_calls_counter_->Increment(n);
   }
 
@@ -238,7 +230,7 @@ class Database {
   // RunStatement plus statement-stats recording and slow-query logging.
   Status RunTimed(const ast::Statement& stmt, Outcome* outcome);
   Status RunStatement(const ast::Statement& stmt, Outcome* outcome);
-  // Accumulates one execution into `statements_` and emits the slow-query
+  // Accumulates one statement into `digests_` and emits the slow-query
   // log line when armed and exceeded — or, regardless of speed, when the
   // governor terminated the statement (kill/deadline/budget attribution).
   // `plan_texts` may be null.
@@ -277,13 +269,12 @@ class Database {
 
   Catalog catalog_;
   Env* env_;
-  int64_t server_calls_ = 0;
+  // Concurrent Query calls count here; atomic so they do not race.
+  std::atomic<int64_t> server_calls_{0};
   int transient_failures_ = 0;
   int64_t slow_query_threshold_us_ = -1;
-  obs::StatementStore statements_{512};
-  obs::QueryProfileStore profiles_{256};
+  obs::DigestStore digests_;
   bool capture_profiles_ = true;  // XNFDB_QUERY_PROFILES != 0
-  obs::PlanFeedbackStore plan_feedback_{256};
   bool capture_feedback_ = true;  // XNFDB_PLAN_FEEDBACK != 0
   obs::Tracer tracer_{obs::Tracer::FromEnv{}};
   obs::MetricsRegistry* metrics_ = &obs::MetricsRegistry::Default();

@@ -67,12 +67,12 @@ struct QueryResult {
   // -class totals aggregated over every output's finished plan tree, plus
   // the morsel-worker breakdown. The executor fills ops/workers/rows_out;
   // the Database adds wall time, queue wait and the memory high-water before
-  // capturing it into its QueryProfileStore.
+  // capturing it into its DigestStore.
   obs::QueryProfile profile;
   // Plan-quality feedback (ExecOptions::collect_feedback): the canonical
   // plan-shape text over every output ("NAME=op(op(scan:T));..."), its hash,
   // and the per-operator estimated-vs-actual comparison. The Database folds
-  // these into its PlanFeedbackStore (SYS$PLAN_FEEDBACK / SYS$PLAN_HISTORY).
+  // these into its DigestStore (SYS$PLAN_FEEDBACK / SYS$PLAN_HISTORY).
   uint64_t plan_hash = 0;
   std::string plan_shape;
   std::vector<obs::OpFeedback> feedback;

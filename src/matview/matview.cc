@@ -8,8 +8,8 @@
 
 #include "common/str_util.h"
 #include "exec/query_context.h"
+#include "obs/digest_store.h"
 #include "obs/flight_recorder.h"
-#include "obs/statement_stats.h"
 #include "optimizer/planner.h"
 
 namespace xnfdb {

@@ -141,7 +141,7 @@ class MatViewStore {
   // Policy: should the Database capture (collect_dedup_counts + Store) the
   // execution about to run? True for a known-but-stale entry (refresh, also
   // the pinned case) or when the auto thresholds are met. `prior_calls` /
-  // `prior_avg_us` come from StatementStore::Stats for the digest.
+  // `prior_avg_us` come from DigestStore::Stats for the digest.
   bool WantCapture(uint64_t digest, int64_t prior_calls,
                    int64_t prior_avg_us) const;
 

@@ -1,23 +1,10 @@
 #include "obs/plan_feedback.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-
-#include "obs/statement_stats.h"
 
 namespace xnfdb {
 namespace obs {
-
-namespace {
-
-int64_t NowUnixUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::string RewriteTrace::ToString() const {
   std::string out;
@@ -45,146 +32,6 @@ double QError(double est, double actual) {
   double e = std::max(est, 1.0);
   double a = std::max(actual, 1.0);
   return std::max(e / a, a / e);
-}
-
-PlanFeedbackStore::Entry* PlanFeedbackStore::Find(uint64_t digest,
-                                                  const std::string& text) {
-  auto it = entries_.find(digest);
-  if (it == entries_.end()) {
-    if (entries_.size() >= capacity_) {
-      ++dropped_;
-      return nullptr;
-    }
-    auto entry = std::make_unique<Entry>();
-    entry->text = text;
-    it = entries_.emplace(digest, std::move(entry)).first;
-  }
-  return it->second.get();
-}
-
-void PlanFeedbackStore::RecordCompile(uint64_t digest, const std::string& text,
-                                      const RewriteTrace& trace) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = Find(digest, text);
-  if (e == nullptr) return;
-  ++e->compiles;
-  e->trace = trace;
-}
-
-PlanFeedbackStore::PlanChange PlanFeedbackStore::RecordExecution(
-    uint64_t digest, const std::string& text, uint64_t plan_hash,
-    const std::string& plan_shape, int64_t execute_us,
-    std::vector<OpFeedback> feedback) {
-  const int64_t now_us = NowUnixUs();
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry* e = Find(digest, text);
-  PlanChange change;
-  if (e == nullptr) return change;
-  ++e->executions;
-  change.executions = e->executions;
-
-  // Cardinality feedback: keep the max_ops_ worst q-errors seen so far,
-  // replacing a prior entry for the same (output, op) slot with whichever
-  // observation is worse.
-  for (OpFeedback& f : feedback) {
-    if (f.est_rows < 0) continue;  // no estimate to compare
-    bool merged = false;
-    for (OpFeedback& w : e->worst) {
-      if (w.output == f.output && w.op == f.op) {
-        if (f.q_error > w.q_error) w = std::move(f);
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) e->worst.push_back(std::move(f));
-  }
-  std::sort(e->worst.begin(), e->worst.end(),
-            [](const OpFeedback& a, const OpFeedback& b) {
-              return a.q_error > b.q_error;
-            });
-  if (e->worst.size() > max_ops_) e->worst.resize(max_ops_);
-
-  // Plan history.
-  if (e->has_plan && e->current_plan != plan_hash) {
-    change.changed = true;
-    change.from = e->current_plan;
-    change.to = plan_hash;
-    ++e->plan_changes;
-  }
-  e->current_plan = plan_hash;
-  e->has_plan = true;
-  PlanRecord* rec = nullptr;
-  for (PlanRecord& p : e->plans) {
-    if (p.plan_hash == plan_hash) {
-      rec = &p;
-      break;
-    }
-  }
-  if (rec == nullptr) {
-    if (e->plans.size() >= max_plans_) {
-      // Evict the plan least recently seen.
-      auto oldest = std::min_element(e->plans.begin(), e->plans.end(),
-                                     [](const PlanRecord& a,
-                                        const PlanRecord& b) {
-                                       return a.last_seen_us < b.last_seen_us;
-                                     });
-      e->plans.erase(oldest);
-    }
-    PlanRecord fresh;
-    fresh.plan_hash = plan_hash;
-    fresh.shape = plan_shape;
-    fresh.first_seen_us = now_us;
-    e->plans.push_back(std::move(fresh));
-    rec = &e->plans.back();
-  }
-  rec->last_seen_us = now_us;
-  ++rec->executions;
-  rec->total_execute_us += execute_us;
-  return change;
-}
-
-OpFeedback PlanFeedbackStore::TopMisestimate(uint64_t digest) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(digest);
-  if (it == entries_.end() || it->second->worst.empty()) return OpFeedback{};
-  return it->second->worst.front();
-}
-
-std::vector<PlanFeedbackSnapshot> PlanFeedbackStore::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PlanFeedbackSnapshot> out;
-  out.reserve(entries_.size());
-  for (const auto& [digest, entry] : entries_) {
-    PlanFeedbackSnapshot snap;
-    snap.digest = digest;
-    snap.digest_hex = DigestHex(digest);
-    snap.text = entry->text;
-    snap.compiles = entry->compiles;
-    snap.executions = entry->executions;
-    snap.plan_changes = entry->plan_changes;
-    snap.trace = entry->trace;
-    snap.worst = entry->worst;
-    snap.plans = entry->plans;
-    snap.current_plan = entry->current_plan;
-    out.push_back(std::move(snap));
-  }
-  return out;
-}
-
-size_t PlanFeedbackStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-int64_t PlanFeedbackStore::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void PlanFeedbackStore::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  dropped_ = 0;
 }
 
 }  // namespace obs

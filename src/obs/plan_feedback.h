@@ -1,9 +1,9 @@
-// Plan-quality observability: rewrite-rule traces, cardinality feedback and
-// plan-change history.
+// Plan-quality observability: the value types of rewrite-rule traces,
+// cardinality feedback and plan-change history.
 //
-// Three concerns share this store because they share a key (the statement
-// fingerprint digest) and a lifecycle (captured as a side effect of normal
-// compile/execute, always on, bounded):
+// All three are captured as a side effect of normal compile/execute,
+// always on, and kept per statement digest in the DigestStore
+// (obs/digest_store.h):
 //
 //  1. Rewrite traces. The QGM rule engine records one RewriteEvent per rule
 //     application attempt — fired or not, how many candidate matches the
@@ -28,18 +28,11 @@
 // Everything here is plain strings and integers: obs sits below qgm and
 // exec in the library order, so the rewrite engine, planner, executor and
 // sysview providers can all depend on these types.
-//
-// Like the other obs stores, bounded: new digests beyond `capacity` count
-// in dropped() instead of allocating; per-entry vectors are truncated to
-// small fixed maxima.
 
 #ifndef XNFDB_OBS_PLAN_FEEDBACK_H_
 #define XNFDB_OBS_PLAN_FEEDBACK_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -104,88 +97,6 @@ struct PlanRecord {
   int64_t mean_execute_us() const {
     return executions > 0 ? total_execute_us / executions : 0;
   }
-};
-
-// Point-in-time copy of one store entry.
-struct PlanFeedbackSnapshot {
-  uint64_t digest = 0;
-  std::string digest_hex;
-  std::string text;  // normalized statement text
-  int64_t compiles = 0;
-  int64_t executions = 0;
-  int64_t plan_changes = 0;  // executions whose plan differed from the last
-  RewriteTrace trace;        // most recent compile's rule log
-  std::vector<OpFeedback> worst;  // worst q-error first
-  std::vector<PlanRecord> plans;  // distinct plans, most recent last-seen last
-  uint64_t current_plan = 0;      // plan hash of the most recent execution
-};
-
-class PlanFeedbackStore {
- public:
-  explicit PlanFeedbackStore(size_t capacity = 256, size_t max_ops = 8,
-                             size_t max_plans = 8)
-      : capacity_(capacity), max_ops_(max_ops), max_plans_(max_plans) {}
-  PlanFeedbackStore(const PlanFeedbackStore&) = delete;
-  PlanFeedbackStore& operator=(const PlanFeedbackStore&) = delete;
-
-  // Captures one compile of the statement shape `digest`: replaces the
-  // stored rewrite trace with this compile's. `text` is stored on first
-  // sight.
-  void RecordCompile(uint64_t digest, const std::string& text,
-                     const RewriteTrace& trace);
-
-  // What RecordExecution observed about plan stability.
-  struct PlanChange {
-    bool changed = false;  // plan hash differs from the previous execution
-    uint64_t from = 0;
-    uint64_t to = 0;
-    int64_t executions = 0;  // total executions of the digest so far
-  };
-
-  // Captures one execution: folds `feedback` into the per-digest worst-
-  // offender list (sorted by q-error, truncated to max_ops) and accounts
-  // the plan hash in the plan history (evicting the oldest-seen plan past
-  // max_plans). Returns whether the plan flipped relative to the previous
-  // execution of this digest.
-  PlanChange RecordExecution(uint64_t digest, const std::string& text,
-                             uint64_t plan_hash, const std::string& plan_shape,
-                             int64_t execute_us,
-                             std::vector<OpFeedback> feedback);
-
-  // The worst misestimate recorded for `digest` (empty-op OpFeedback when
-  // none) — the slow-query-log annotation.
-  OpFeedback TopMisestimate(uint64_t digest) const;
-
-  // All entries, in digest order.
-  std::vector<PlanFeedbackSnapshot> Snapshot() const;
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  int64_t dropped() const;
-  void Reset();
-
- private:
-  struct Entry {
-    std::string text;
-    int64_t compiles = 0;
-    int64_t executions = 0;
-    int64_t plan_changes = 0;
-    RewriteTrace trace;
-    std::vector<OpFeedback> worst;
-    std::vector<PlanRecord> plans;
-    uint64_t current_plan = 0;
-    bool has_plan = false;
-  };
-
-  // Looks up (or creates, capacity permitting) the entry; requires mu_.
-  Entry* Find(uint64_t digest, const std::string& text);
-
-  mutable std::mutex mu_;
-  size_t capacity_;
-  size_t max_ops_;
-  size_t max_plans_;
-  std::map<uint64_t, std::unique_ptr<Entry>> entries_;
-  int64_t dropped_ = 0;
 };
 
 }  // namespace obs

@@ -1,32 +1,27 @@
 // Always-on per-query execution profiles.
 //
 // EXPLAIN ANALYZE gives exact per-operator actuals, but only when a human
-// re-runs the query under instrumentation. This store keeps a cheap profile
-// of *every* query as a side effect of normal execution: the per-operator
-// row/batch/loop counters the operator wrappers maintain anyway, plus
-// batch-granularity inclusive wall time (two clock reads per ~1k-row batch,
-// not per row — the overhead budget is <= 5% of the execute phase), the
-// morsel-worker breakdown, the query's memory high-water and its governor
-// queue wait. The executor aggregates the finished operator trees by
-// operator class into a QueryProfile; the Database captures it here keyed
-// by statement fingerprint.
+// re-runs the query under instrumentation. The profiler keeps a cheap
+// profile of *every* query as a side effect of normal execution: the
+// per-operator row/batch/loop counters the operator wrappers maintain
+// anyway, plus batch-granularity inclusive wall time (two clock reads per
+// ~1k-row batch, not per row — the overhead budget is <= 5% of the execute
+// phase), the morsel-worker breakdown, the query's memory high-water and
+// its governor queue wait. The executor aggregates the finished operator
+// trees by operator class into a QueryProfile; the Database captures it
+// into the statement fingerprint's DigestStore record
+// (obs/digest_store.h).
 //
 // Contents surface through `SYS$QUERY_PROFILES` (one row per operator class
 // of the most recent capture, plus one row per morsel worker), and the
 // per-class *self* times roll up into `SYS$STATEMENTS` — which is exactly
 // the frequency-and-cost-over-time substrate server-side CO-view
-// materialization (ROADMAP item 3) needs to choose what to materialize.
-//
-// Like StatementStore, the store is bounded: new digests beyond `capacity`
-// are counted in dropped() instead of allocating.
+// materialization needs to choose what to materialize.
 
 #ifndef XNFDB_OBS_QUERY_PROFILE_H_
 #define XNFDB_OBS_QUERY_PROFILE_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,65 +64,6 @@ struct QueryProfile {
 // Maps an operator class to the broad bucket SYS$STATEMENTS rolls self-time
 // up into: "scan" | "join" | "filter" | "other".
 const char* ClassifyOp(const std::string& op);
-
-// Point-in-time copy of one store entry.
-struct QueryProfileSnapshot {
-  uint64_t digest = 0;
-  std::string digest_hex;
-  std::string text;  // normalized statement text
-  int64_t captures = 0;
-  int64_t total_wall_us = 0;  // across all captures
-  QueryProfile last;          // most recent capture
-  // Cumulative per-broad-class self time across all captures.
-  int64_t scan_self_us = 0;
-  int64_t join_self_us = 0;
-  int64_t filter_self_us = 0;
-  int64_t other_self_us = 0;
-};
-
-class QueryProfileStore {
- public:
-  explicit QueryProfileStore(size_t capacity = 256) : capacity_(capacity) {}
-  QueryProfileStore(const QueryProfileStore&) = delete;
-  QueryProfileStore& operator=(const QueryProfileStore&) = delete;
-
-  // Captures one execution of the statement shape `digest`. `text` is
-  // stored on first sight.
-  void Record(uint64_t digest, const std::string& text,
-              const QueryProfile& profile);
-
-  // All entries, in digest order.
-  std::vector<QueryProfileSnapshot> Snapshot() const;
-
-  // Cumulative per-broad-class self times of one digest (zeros when the
-  // digest has no profile) — the SYS$STATEMENTS rollup.
-  struct ClassTotals {
-    int64_t scan_us = 0;
-    int64_t join_us = 0;
-    int64_t filter_us = 0;
-    int64_t other_us = 0;
-  };
-  ClassTotals ClassSelfTimes(uint64_t digest) const;
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  int64_t dropped() const;
-  void Reset();
-
- private:
-  struct Entry {
-    std::string text;
-    int64_t captures = 0;
-    int64_t total_wall_us = 0;
-    QueryProfile last;
-    ClassTotals classes;
-  };
-
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::map<uint64_t, std::unique_ptr<Entry>> entries_;
-  int64_t dropped_ = 0;
-};
 
 }  // namespace obs
 }  // namespace xnfdb

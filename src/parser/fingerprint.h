@@ -8,8 +8,8 @@
 // Multi-row INSERTs are collapsed to a single `(?, ...)` values row so a
 // bulk load does not fan out into one shape per batch size.
 //
-// The digest keys the per-statement statistics store
-// (obs/statement_stats.h) exposed through `sys$statements`.
+// The digest keys the per-statement-digest store (obs/digest_store.h)
+// exposed through `sys$statements` and the other per-digest system views.
 
 #ifndef XNFDB_PARSER_FINGERPRINT_H_
 #define XNFDB_PARSER_FINGERPRINT_H_

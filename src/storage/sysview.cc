@@ -3,13 +3,11 @@
 #include <memory>
 #include <utility>
 
+#include "obs/digest_store.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/plan_feedback.h"
-#include "obs/query_profile.h"
 #include "obs/sampler.h"
-#include "obs/statement_stats.h"
 #include "storage/catalog.h"
 
 namespace xnfdb {
@@ -60,14 +58,14 @@ class MetricsProvider : public VirtualTableProvider {
 class HistogramsProvider : public VirtualTableProvider {
  public:
   HistogramsProvider(obs::MetricsRegistry* metrics,
-                     const obs::StatementStore* statements)
+                     const obs::DigestStore* digests)
       : name_("SYS$HISTOGRAMS"),
         schema_(MakeSchema({{"NAME", DataType::kString},
                             {"LE", DataType::kInt},
                             {"BUCKET_COUNT", DataType::kInt},
                             {"CUM_COUNT", DataType::kInt}})),
         metrics_(metrics),
-        statements_(statements) {}
+        digests_(digests) {}
 
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
@@ -78,10 +76,9 @@ class HistogramsProvider : public VirtualTableProvider {
     for (const auto& [name, h] : snap.histograms) {
       AppendBuckets(name, h, &rows);
     }
-    if (statements_ != nullptr) {
-      for (const obs::StatementSnapshot& s : statements_->Snapshot()) {
-        AppendBuckets("stmt." + s.digest_hex + ".us", s.latency, &rows);
-      }
+    for (const obs::DigestRecord& s : digests_->Snapshot()) {
+      if (s.calls == 0) continue;  // no statement outcome yet
+      AppendBuckets("stmt." + s.digest_hex + ".us", s.latency, &rows);
     }
     return rows;
   }
@@ -104,66 +101,120 @@ class HistogramsProvider : public VirtualTableProvider {
   std::string name_;
   Schema schema_;
   obs::MetricsRegistry* metrics_;
-  const obs::StatementStore* statements_;
+  const obs::DigestStore* digests_;
 };
 
-// SYS$STATEMENTS: one row per distinct statement shape. The trailing
-// *_SELF_US columns roll the always-on profile store's per-operator-class
-// self times up per shape (zero when no profile store is attached or the
-// shape has no capture yet).
-class StatementsProvider : public VirtualTableProvider {
+// A per-digest system view: each scan takes one DigestStore::Snapshot() and
+// projects every record into zero or more rows.
+class DigestViewProvider : public VirtualTableProvider {
  public:
-  StatementsProvider(const obs::StatementStore* statements,
-                     const obs::QueryProfileStore* profiles)
-      : name_("SYS$STATEMENTS"),
-        schema_(MakeSchema({{"DIGEST", DataType::kString},
-                            {"KIND", DataType::kString},
-                            {"TEXT", DataType::kString},
-                            {"HIST", DataType::kString},
-                            {"CALLS", DataType::kInt},
-                            {"ERRORS", DataType::kInt},
-                            {"ROWS_OUT", DataType::kInt},
-                            {"TOTAL_US", DataType::kInt},
-                            {"MIN_US", DataType::kInt},
-                            {"MAX_US", DataType::kInt},
-                            {"AVG_US", DataType::kInt},
-                            {"P50_US", DataType::kInt},
-                            {"P99_US", DataType::kInt},
-                            {"SCAN_SELF_US", DataType::kInt},
-                            {"JOIN_SELF_US", DataType::kInt},
-                            {"FILTER_SELF_US", DataType::kInt},
-                            {"OTHER_SELF_US", DataType::kInt}})),
-        statements_(statements),
-        profiles_(profiles) {}
+  using Project = void (*)(const obs::DigestRecord&, std::vector<Tuple>*);
+
+  DigestViewProvider(std::string name, Schema schema, double estimated_rows,
+                     Project project, const obs::DigestStore* digests)
+      : name_(std::move(name)),
+        schema_(std::move(schema)),
+        estimated_rows_(estimated_rows),
+        project_(project),
+        digests_(digests) {}
 
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
 
   Result<std::vector<Tuple>> Generate() const override {
     std::vector<Tuple> rows;
-    for (const obs::StatementSnapshot& s : statements_->Snapshot()) {
-      obs::QueryProfileStore::ClassTotals cls;
-      if (profiles_ != nullptr) cls = profiles_->ClassSelfTimes(s.digest);
-      rows.push_back({Value(s.digest_hex), Value(s.kind), Value(s.text),
-                      Value("stmt." + s.digest_hex + ".us"), Value(s.calls),
-                      Value(s.errors), Value(s.rows), Value(s.total_us),
-                      Value(s.min_us), Value(s.max_us), Value(s.avg_us()),
-                      Value(s.latency.Quantile(0.5)),
-                      Value(s.latency.Quantile(0.99)), Value(cls.scan_us),
-                      Value(cls.join_us), Value(cls.filter_us),
-                      Value(cls.other_us)});
+    for (const obs::DigestRecord& s : digests_->Snapshot()) {
+      project_(s, &rows);
     }
     return rows;
   }
 
-  double EstimatedRows() const override { return 32.0; }
+  double EstimatedRows() const override { return estimated_rows_; }
 
  private:
   std::string name_;
   Schema schema_;
-  const obs::StatementStore* statements_;
-  const obs::QueryProfileStore* profiles_;
+  double estimated_rows_;
+  Project project_;
+  const obs::DigestStore* digests_;
 };
+
+// SYS$STATEMENTS: one row per distinct statement shape that has finished at
+// least once. The trailing *_SELF_US columns roll the profiled
+// per-operator-class self times up per shape (zero until a capture).
+void ProjectStatement(const obs::DigestRecord& s, std::vector<Tuple>* rows) {
+  if (s.calls == 0) return;
+  rows->push_back({Value(s.digest_hex), Value(s.kind), Value(s.text),
+                   Value("stmt." + s.digest_hex + ".us"), Value(s.calls),
+                   Value(s.errors), Value(s.rows), Value(s.total_us),
+                   Value(s.min_us), Value(s.max_us), Value(s.avg_us()),
+                   Value(s.latency.Quantile(0.5)),
+                   Value(s.latency.Quantile(0.99)), Value(s.scan_self_us),
+                   Value(s.join_self_us), Value(s.filter_self_us),
+                   Value(s.other_self_us)});
+}
+
+// SYS$QUERY_PROFILES: per-operator-class rows plus morsel-worker rows of
+// each captured statement shape's most recent execution.
+void ProjectQueryProfile(const obs::DigestRecord& s,
+                         std::vector<Tuple>* rows) {
+  const obs::QueryProfile& last = s.last_profile;
+  for (const obs::OpProfile& op : last.ops) {
+    rows->push_back({Value(s.digest_hex), Value(s.captures),
+                     Value(last.wall_us), Value(last.queue_wait_us),
+                     Value(last.peak_bytes), Value(last.rows_out),
+                     Value(op.op), Value::Null(), Value(op.loops),
+                     Value(op.rows), Value(op.batches), Value(op.self_us),
+                     Value(op.incl_us)});
+  }
+  for (const obs::WorkerProfile& w : last.workers) {
+    rows->push_back({Value(s.digest_hex), Value(s.captures),
+                     Value(last.wall_us), Value(last.queue_wait_us),
+                     Value(last.peak_bytes), Value(last.rows_out),
+                     Value("morsel_worker"), Value(w.worker),
+                     Value(w.morsels), Value(w.rows), Value(int64_t{0}),
+                     Value(w.wall_us), Value(w.wall_us)});
+  }
+}
+
+// SYS$REWRITES: the most recent compile's ordered rewrite-rule log per
+// statement shape — one row per rule application attempt, in firing order.
+void ProjectRewrites(const obs::DigestRecord& s, std::vector<Tuple>* rows) {
+  int64_t seq = 0;
+  for (const obs::RewriteEvent& e : s.trace.events) {
+    rows->push_back({Value(s.digest_hex), Value(++seq),
+                     Value(int64_t{e.pass}), Value(e.rule),
+                     Value(int64_t{e.fired ? 1 : 0}), Value(e.rejected),
+                     Value(e.wall_us), Value(int64_t{e.boxes_before}),
+                     Value(int64_t{e.boxes_after})});
+  }
+}
+
+// SYS$PLAN_FEEDBACK: each statement shape's worst estimate-vs-actual
+// offenders, ranked by q-error.
+void ProjectPlanFeedback(const obs::DigestRecord& s,
+                         std::vector<Tuple>* rows) {
+  int64_t rank = 0;
+  for (const obs::OpFeedback& f : s.worst) {
+    rows->push_back({Value(s.digest_hex), Value(++rank), Value(f.output),
+                     Value(f.op),
+                     Value(static_cast<int64_t>(f.est_rows + 0.5)),
+                     Value(f.actual_rows), Value(f.loops), Value(f.q_error)});
+  }
+}
+
+// SYS$PLAN_HISTORY: every distinct physical plan shape a statement has
+// executed with; CURRENT = 1 marks the most recent one.
+void ProjectPlanHistory(const obs::DigestRecord& s,
+                        std::vector<Tuple>* rows) {
+  for (const obs::PlanRecord& p : s.plans) {
+    rows->push_back({Value(s.digest_hex), Value(obs::DigestHex(p.plan_hash)),
+                     Value(p.shape), Value(p.first_seen_us),
+                     Value(p.last_seen_us), Value(p.executions),
+                     Value(p.mean_execute_us()),
+                     Value(int64_t{p.plan_hash == s.current_plan ? 1 : 0})});
+  }
+}
 
 // SYS$METRICS_HISTORY: the sampler's flattened time-series ring,
 // oldest-first.
@@ -197,187 +248,6 @@ class MetricsHistoryProvider : public VirtualTableProvider {
   std::string name_;
   Schema schema_;
   const obs::MetricsSampler* sampler_;
-};
-
-// SYS$QUERY_PROFILES: per-operator-class rows plus morsel-worker rows of
-// each captured statement shape's most recent execution.
-class QueryProfilesProvider : public VirtualTableProvider {
- public:
-  explicit QueryProfilesProvider(const obs::QueryProfileStore* profiles)
-      : name_("SYS$QUERY_PROFILES"),
-        schema_(MakeSchema({{"DIGEST", DataType::kString},
-                            {"CAPTURES", DataType::kInt},
-                            {"WALL_US", DataType::kInt},
-                            {"QUEUE_WAIT_US", DataType::kInt},
-                            {"PEAK_BYTES", DataType::kInt},
-                            {"ROWS_OUT", DataType::kInt},
-                            {"OP", DataType::kString},
-                            {"WORKER", DataType::kInt},
-                            {"OP_LOOPS", DataType::kInt},
-                            {"OP_ROWS", DataType::kInt},
-                            {"OP_BATCHES", DataType::kInt},
-                            {"OP_SELF_US", DataType::kInt},
-                            {"OP_INCL_US", DataType::kInt}})),
-        profiles_(profiles) {}
-
-  const std::string& name() const override { return name_; }
-  const Schema& schema() const override { return schema_; }
-
-  Result<std::vector<Tuple>> Generate() const override {
-    std::vector<Tuple> rows;
-    for (const obs::QueryProfileSnapshot& s : profiles_->Snapshot()) {
-      for (const obs::OpProfile& op : s.last.ops) {
-        rows.push_back({Value(s.digest_hex), Value(s.captures),
-                        Value(s.last.wall_us), Value(s.last.queue_wait_us),
-                        Value(s.last.peak_bytes), Value(s.last.rows_out),
-                        Value(op.op), Value::Null(), Value(op.loops),
-                        Value(op.rows), Value(op.batches), Value(op.self_us),
-                        Value(op.incl_us)});
-      }
-      for (const obs::WorkerProfile& w : s.last.workers) {
-        rows.push_back({Value(s.digest_hex), Value(s.captures),
-                        Value(s.last.wall_us), Value(s.last.queue_wait_us),
-                        Value(s.last.peak_bytes), Value(s.last.rows_out),
-                        Value("morsel_worker"), Value(w.worker),
-                        Value(w.morsels), Value(w.rows), Value(int64_t{0}),
-                        Value(w.wall_us), Value(w.wall_us)});
-      }
-    }
-    return rows;
-  }
-
-  double EstimatedRows() const override { return 128.0; }
-
- private:
-  std::string name_;
-  Schema schema_;
-  const obs::QueryProfileStore* profiles_;
-};
-
-// SYS$REWRITES: the most recent compile's ordered rewrite-rule log per
-// statement shape — one row per rule application attempt, in firing order.
-class RewritesProvider : public VirtualTableProvider {
- public:
-  explicit RewritesProvider(const obs::PlanFeedbackStore* feedback)
-      : name_("SYS$REWRITES"),
-        schema_(MakeSchema({{"DIGEST", DataType::kString},
-                            {"SEQ", DataType::kInt},
-                            {"PASS", DataType::kInt},
-                            {"RULE", DataType::kString},
-                            {"FIRED", DataType::kInt},
-                            {"REJECTED", DataType::kInt},
-                            {"US", DataType::kInt},
-                            {"BOXES_BEFORE", DataType::kInt},
-                            {"BOXES_AFTER", DataType::kInt}})),
-        feedback_(feedback) {}
-
-  const std::string& name() const override { return name_; }
-  const Schema& schema() const override { return schema_; }
-
-  Result<std::vector<Tuple>> Generate() const override {
-    std::vector<Tuple> rows;
-    for (const obs::PlanFeedbackSnapshot& s : feedback_->Snapshot()) {
-      int64_t seq = 0;
-      for (const obs::RewriteEvent& e : s.trace.events) {
-        rows.push_back({Value(s.digest_hex), Value(++seq),
-                        Value(int64_t{e.pass}), Value(e.rule),
-                        Value(int64_t{e.fired ? 1 : 0}), Value(e.rejected),
-                        Value(e.wall_us), Value(int64_t{e.boxes_before}),
-                        Value(int64_t{e.boxes_after})});
-      }
-    }
-    return rows;
-  }
-
-  double EstimatedRows() const override { return 128.0; }
-
- private:
-  std::string name_;
-  Schema schema_;
-  const obs::PlanFeedbackStore* feedback_;
-};
-
-// SYS$PLAN_FEEDBACK: each statement shape's worst estimate-vs-actual
-// offenders, ranked by q-error.
-class PlanFeedbackProvider : public VirtualTableProvider {
- public:
-  explicit PlanFeedbackProvider(const obs::PlanFeedbackStore* feedback)
-      : name_("SYS$PLAN_FEEDBACK"),
-        schema_(MakeSchema({{"DIGEST", DataType::kString},
-                            {"RANK", DataType::kInt},
-                            {"OUTPUT", DataType::kString},
-                            {"OP", DataType::kString},
-                            {"EST_ROWS", DataType::kInt},
-                            {"ACTUAL_ROWS", DataType::kInt},
-                            {"LOOPS", DataType::kInt},
-                            {"Q_ERROR", DataType::kDouble}})),
-        feedback_(feedback) {}
-
-  const std::string& name() const override { return name_; }
-  const Schema& schema() const override { return schema_; }
-
-  Result<std::vector<Tuple>> Generate() const override {
-    std::vector<Tuple> rows;
-    for (const obs::PlanFeedbackSnapshot& s : feedback_->Snapshot()) {
-      int64_t rank = 0;
-      for (const obs::OpFeedback& f : s.worst) {
-        rows.push_back({Value(s.digest_hex), Value(++rank), Value(f.output),
-                        Value(f.op),
-                        Value(static_cast<int64_t>(f.est_rows + 0.5)),
-                        Value(f.actual_rows), Value(f.loops),
-                        Value(f.q_error)});
-      }
-    }
-    return rows;
-  }
-
-  double EstimatedRows() const override { return 64.0; }
-
- private:
-  std::string name_;
-  Schema schema_;
-  const obs::PlanFeedbackStore* feedback_;
-};
-
-// SYS$PLAN_HISTORY: every distinct physical plan shape a statement has
-// executed with; CURRENT = 1 marks the most recent one.
-class PlanHistoryProvider : public VirtualTableProvider {
- public:
-  explicit PlanHistoryProvider(const obs::PlanFeedbackStore* feedback)
-      : name_("SYS$PLAN_HISTORY"),
-        schema_(MakeSchema({{"DIGEST", DataType::kString},
-                            {"PLAN_HASH", DataType::kString},
-                            {"PLAN_SHAPE", DataType::kString},
-                            {"FIRST_SEEN_US", DataType::kInt},
-                            {"LAST_SEEN_US", DataType::kInt},
-                            {"EXECUTIONS", DataType::kInt},
-                            {"MEAN_EXECUTE_US", DataType::kInt},
-                            {"CURRENT", DataType::kInt}})),
-        feedback_(feedback) {}
-
-  const std::string& name() const override { return name_; }
-  const Schema& schema() const override { return schema_; }
-
-  Result<std::vector<Tuple>> Generate() const override {
-    std::vector<Tuple> rows;
-    for (const obs::PlanFeedbackSnapshot& s : feedback_->Snapshot()) {
-      for (const obs::PlanRecord& p : s.plans) {
-        rows.push_back(
-            {Value(s.digest_hex), Value(obs::DigestHex(p.plan_hash)),
-             Value(p.shape), Value(p.first_seen_us), Value(p.last_seen_us),
-             Value(p.executions), Value(p.mean_execute_us()),
-             Value(int64_t{p.plan_hash == s.current_plan ? 1 : 0})});
-      }
-    }
-    return rows;
-  }
-
-  double EstimatedRows() const override { return 64.0; }
-
- private:
-  std::string name_;
-  Schema schema_;
-  const obs::PlanFeedbackStore* feedback_;
 };
 
 // SYS$EVENTS: the flight recorder's retained events, oldest-first.
@@ -574,42 +444,96 @@ class TablesProvider : public VirtualTableProvider {
 }  // namespace
 
 Status RegisterSystemViews(Catalog* catalog, obs::MetricsRegistry* metrics,
-                           const obs::StatementStore* statements,
-                           const obs::QueryProfileStore* profiles,
-                           const obs::PlanFeedbackStore* feedback) {
+                           const obs::DigestStore* digests) {
+  auto digest_view = [&](std::string name, Schema schema,
+                         double estimated_rows,
+                         DigestViewProvider::Project project) {
+    return catalog->RegisterVirtualTable(std::make_unique<DigestViewProvider>(
+        std::move(name), std::move(schema), estimated_rows, project,
+        digests));
+  };
   XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
       std::make_unique<MetricsProvider>(metrics)));
   XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
-      std::make_unique<HistogramsProvider>(metrics, statements)));
-  XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
-      std::make_unique<StatementsProvider>(statements, profiles)));
+      std::make_unique<HistogramsProvider>(metrics, digests)));
+  XNFDB_RETURN_IF_ERROR(digest_view(
+      "SYS$STATEMENTS",
+      MakeSchema({{"DIGEST", DataType::kString},
+                  {"KIND", DataType::kString},
+                  {"TEXT", DataType::kString},
+                  {"HIST", DataType::kString},
+                  {"CALLS", DataType::kInt},
+                  {"ERRORS", DataType::kInt},
+                  {"ROWS_OUT", DataType::kInt},
+                  {"TOTAL_US", DataType::kInt},
+                  {"MIN_US", DataType::kInt},
+                  {"MAX_US", DataType::kInt},
+                  {"AVG_US", DataType::kInt},
+                  {"P50_US", DataType::kInt},
+                  {"P99_US", DataType::kInt},
+                  {"SCAN_SELF_US", DataType::kInt},
+                  {"JOIN_SELF_US", DataType::kInt},
+                  {"FILTER_SELF_US", DataType::kInt},
+                  {"OTHER_SELF_US", DataType::kInt}}),
+      32.0, ProjectStatement));
   XNFDB_RETURN_IF_ERROR(
       catalog->RegisterVirtualTable(std::make_unique<CacheProvider>(metrics)));
   XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
       std::make_unique<TablesProvider>(catalog)));
-  if (profiles != nullptr) {
-    XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
-        std::make_unique<QueryProfilesProvider>(profiles)));
-  }
-  if (feedback != nullptr) {
-    XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
-        std::make_unique<RewritesProvider>(feedback)));
-    XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
-        std::make_unique<PlanFeedbackProvider>(feedback)));
-    XNFDB_RETURN_IF_ERROR(catalog->RegisterVirtualTable(
-        std::make_unique<PlanHistoryProvider>(feedback)));
-  }
-  return Status::Ok();
+  XNFDB_RETURN_IF_ERROR(digest_view(
+      "SYS$QUERY_PROFILES",
+      MakeSchema({{"DIGEST", DataType::kString},
+                  {"CAPTURES", DataType::kInt},
+                  {"WALL_US", DataType::kInt},
+                  {"QUEUE_WAIT_US", DataType::kInt},
+                  {"PEAK_BYTES", DataType::kInt},
+                  {"ROWS_OUT", DataType::kInt},
+                  {"OP", DataType::kString},
+                  {"WORKER", DataType::kInt},
+                  {"OP_LOOPS", DataType::kInt},
+                  {"OP_ROWS", DataType::kInt},
+                  {"OP_BATCHES", DataType::kInt},
+                  {"OP_SELF_US", DataType::kInt},
+                  {"OP_INCL_US", DataType::kInt}}),
+      128.0, ProjectQueryProfile));
+  XNFDB_RETURN_IF_ERROR(digest_view(
+      "SYS$REWRITES",
+      MakeSchema({{"DIGEST", DataType::kString},
+                  {"SEQ", DataType::kInt},
+                  {"PASS", DataType::kInt},
+                  {"RULE", DataType::kString},
+                  {"FIRED", DataType::kInt},
+                  {"REJECTED", DataType::kInt},
+                  {"US", DataType::kInt},
+                  {"BOXES_BEFORE", DataType::kInt},
+                  {"BOXES_AFTER", DataType::kInt}}),
+      128.0, ProjectRewrites));
+  XNFDB_RETURN_IF_ERROR(digest_view(
+      "SYS$PLAN_FEEDBACK",
+      MakeSchema({{"DIGEST", DataType::kString},
+                  {"RANK", DataType::kInt},
+                  {"OUTPUT", DataType::kString},
+                  {"OP", DataType::kString},
+                  {"EST_ROWS", DataType::kInt},
+                  {"ACTUAL_ROWS", DataType::kInt},
+                  {"LOOPS", DataType::kInt},
+                  {"Q_ERROR", DataType::kDouble}}),
+      64.0, ProjectPlanFeedback));
+  return digest_view("SYS$PLAN_HISTORY",
+                     MakeSchema({{"DIGEST", DataType::kString},
+                                 {"PLAN_HASH", DataType::kString},
+                                 {"PLAN_SHAPE", DataType::kString},
+                                 {"FIRST_SEEN_US", DataType::kInt},
+                                 {"LAST_SEEN_US", DataType::kInt},
+                                 {"EXECUTIONS", DataType::kInt},
+                                 {"MEAN_EXECUTE_US", DataType::kInt},
+                                 {"CURRENT", DataType::kInt}}),
+                     64.0, ProjectPlanHistory);
 }
 
 std::unique_ptr<VirtualTableProvider> MakeMetricsHistoryProvider(
     const obs::MetricsSampler* sampler) {
   return std::make_unique<MetricsHistoryProvider>(sampler);
-}
-
-std::unique_ptr<VirtualTableProvider> MakeQueryProfilesProvider(
-    const obs::QueryProfileStore* profiles) {
-  return std::make_unique<QueryProfilesProvider>(profiles);
 }
 
 std::unique_ptr<VirtualTableProvider> MakeEventsProvider(

@@ -19,9 +19,11 @@
 //       one row per bucket; LE is NULL for the +Inf overflow bucket;
 //       includes per-statement latency histograms named `stmt.<digest>.us`
 //   SYS$STATEMENTS(DIGEST, KIND, TEXT, HIST, CALLS, ERRORS, ROWS_OUT,
-//                  TOTAL_US, MIN_US, MAX_US, AVG_US, P50_US, P99_US)
+//                  TOTAL_US, MIN_US, MAX_US, AVG_US, P50_US, P99_US,
+//                  SCAN_SELF_US, JOIN_SELF_US, FILTER_SELF_US, OTHER_SELF_US)
 //       one row per distinct statement shape; HIST names this statement's
-//       latency histogram in SYS$HISTOGRAMS (the natural RELATE join key)
+//       latency histogram in SYS$HISTOGRAMS (the natural RELATE join key);
+//       the *_SELF_US columns are cumulative per-operator-class self time
 //   SYS$CACHE(NAME, VALUE)                    cache.* / writeback.* metrics
 //   SYS$TABLES(NAME, KIND, ROW_COUNT, COLUMN_COUNT)
 //       catalog contents: base tables, views, and virtual tables
@@ -30,7 +32,7 @@
 //   SYS$QUERY_PROFILES(DIGEST, CAPTURES, WALL_US, QUEUE_WAIT_US, PEAK_BYTES,
 //                  ROWS_OUT, OP, WORKER, OP_LOOPS, OP_ROWS, OP_BATCHES,
 //                  OP_SELF_US, OP_INCL_US)
-//       the always-on profile store: per-operator-class rows (WORKER NULL)
+//       the always-on profiles: per-operator-class rows (WORKER NULL)
 //       plus one 'morsel_worker' row per worker of the last capture
 //   SYS$REWRITES(DIGEST, SEQ, PASS, RULE, FIRED, REJECTED, US,
 //                  BOXES_BEFORE, BOXES_AFTER)
@@ -58,9 +60,10 @@
 //       stored CO-view answer set with its freshness state and
 //       maintenance counters (api-registered)
 //
-// When a QueryProfileStore is supplied, SYS$STATEMENTS additionally carries
-// SCAN_SELF_US / JOIN_SELF_US / FILTER_SELF_US / OTHER_SELF_US — cumulative
-// per-operator-class self time of each statement shape.
+// SYS$STATEMENTS, the `stmt.<digest>.us` rows of SYS$HISTOGRAMS,
+// SYS$QUERY_PROFILES, SYS$REWRITES, SYS$PLAN_FEEDBACK and SYS$PLAN_HISTORY
+// are projections over one obs::DigestStore (obs/digest_store.h): each scan
+// reads one Snapshot() of its per-digest records.
 
 #ifndef XNFDB_STORAGE_SYSVIEW_H_
 #define XNFDB_STORAGE_SYSVIEW_H_
@@ -78,13 +81,11 @@ namespace xnfdb {
 class Catalog;
 
 namespace obs {
+class DigestStore;
 class FlightRecorder;
 class HealthEngine;
 class MetricsRegistry;
 class MetricsSampler;
-class PlanFeedbackStore;
-class QueryProfileStore;
-class StatementStore;
 }  // namespace obs
 
 // A generator-backed table: fixed schema, rows produced on demand.
@@ -104,26 +105,15 @@ class VirtualTableProvider {
   virtual double EstimatedRows() const { return 64.0; }
 };
 
-// Registers the built-in sys$ views against `catalog`. `metrics`,
-// `statements`, `profiles` and `feedback` must outlive the catalog;
-// `catalog` itself backs SYS$TABLES. `profiles` may be null (SYS$STATEMENTS
-// then reports zero self times); `feedback` may be null (the plan-quality
-// views are then not registered).
+// Registers the built-in sys$ views against `catalog`. `metrics` and
+// `digests` must outlive the catalog; `catalog` itself backs SYS$TABLES.
 Status RegisterSystemViews(Catalog* catalog, obs::MetricsRegistry* metrics,
-                           const obs::StatementStore* statements,
-                           const obs::QueryProfileStore* profiles = nullptr,
-                           const obs::PlanFeedbackStore* feedback = nullptr);
+                           const obs::DigestStore* digests);
 
 // SYS$METRICS_HISTORY over one sampler's ring. Registered by the Database
 // (the sampler is api-owned state, like the governor's SYS$QUERIES).
 std::unique_ptr<VirtualTableProvider> MakeMetricsHistoryProvider(
     const obs::MetricsSampler* sampler);
-
-// SYS$QUERY_PROFILES over the always-on profile store: for every captured
-// statement shape, one row per operator class of the most recent capture
-// (WORKER is NULL) and one row per morsel worker (OP = 'morsel_worker').
-std::unique_ptr<VirtualTableProvider> MakeQueryProfilesProvider(
-    const obs::QueryProfileStore* profiles);
 
 // SYS$EVENTS over one flight recorder's ring, oldest-first. Registered by
 // the Database (the recorder is process-wide, but its SQL surface is

@@ -1,6 +1,6 @@
 // Tests of query fingerprinting (parser/fingerprint.h) and the bounded
-// per-statement statistics store behind sys$statements
-// (obs/statement_stats.h).
+// per-statement-digest store behind the per-digest system views
+// (obs/digest_store.h).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/statement_stats.h"
+#include "obs/digest_store.h"
 #include "parser/fingerprint.h"
 #include "parser/parser.h"
 
@@ -84,14 +84,15 @@ TEST(DigestHexTest, SixteenZeroPaddedDigits) {
 }
 
 TEST(StatementStoreTest, AccumulatesPerDigest) {
-  obs::StatementStore store;
-  store.Record(7, "SELECT ?", "query", /*ok=*/true, /*rows=*/3,
-               /*elapsed_us=*/100);
-  store.Record(7, "SELECT ?", "query", true, 5, 300);
-  store.Record(7, "SELECT ?", "query", /*ok=*/false, 0, 50);
-  std::vector<obs::StatementSnapshot> snap = store.Snapshot();
+  obs::DigestStore store;
+  store.RecordStatement(7, "SELECT ?", "query", /*ok=*/true, /*rows=*/3,
+                        /*elapsed_us=*/100);
+  store.RecordStatement(7, "SELECT ?", "query", true, 5, 300);
+  store.RecordStatement(7, "SELECT ?", "query", /*ok=*/false, 0, 50);
+  std::vector<obs::DigestRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].digest, 7u);
+  EXPECT_EQ(snap[0].digest_hex, "0000000000000007");
   EXPECT_EQ(snap[0].text, "SELECT ?");
   EXPECT_EQ(snap[0].kind, "query");
   EXPECT_EQ(snap[0].calls, 3);
@@ -102,17 +103,22 @@ TEST(StatementStoreTest, AccumulatesPerDigest) {
   EXPECT_EQ(snap[0].max_us, 300);
   EXPECT_EQ(snap[0].avg_us(), 150);
   EXPECT_EQ(snap[0].latency.count, 3);
+  int64_t calls = 0, avg_us = 0;
+  EXPECT_TRUE(store.Stats(7, &calls, &avg_us));
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(avg_us, 150);
+  EXPECT_FALSE(store.Stats(8, &calls, &avg_us));
 }
 
 TEST(StatementStoreTest, CapacityBoundsDistinctDigests) {
-  obs::StatementStore store(/*capacity=*/2);
-  store.Record(1, "a", "query", true, 0, 1);
-  store.Record(2, "b", "query", true, 0, 1);
-  store.Record(3, "c", "query", true, 0, 1);  // dropped: store is full
-  store.Record(1, "a", "query", true, 0, 1);  // existing digest still lands
+  obs::DigestStore store(/*capacity=*/2);
+  store.RecordStatement(1, "a", "query", true, 0, 1);
+  store.RecordStatement(2, "b", "query", true, 0, 1);
+  store.RecordStatement(3, "c", "query", true, 0, 1);  // dropped: full
+  store.RecordStatement(1, "a", "query", true, 0, 1);  // existing lands
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.dropped(), 1);
-  std::vector<obs::StatementSnapshot> snap = store.Snapshot();
+  std::vector<obs::DigestRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].calls, 2);
 
@@ -122,7 +128,7 @@ TEST(StatementStoreTest, CapacityBoundsDistinctDigests) {
 }
 
 TEST(StatementStoreTest, ConcurrentRecordsAllLand) {
-  obs::StatementStore store;
+  obs::DigestStore store;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   std::atomic<bool> go{false};
@@ -131,20 +137,84 @@ TEST(StatementStoreTest, ConcurrentRecordsAllLand) {
     threads.emplace_back([&, t] {
       while (!go.load()) {
       }
+      obs::QueryProfile profile;
+      profile.ops.push_back({"scan", 1, 1, 1, 2, 2});
       for (int i = 0; i < kPerThread; ++i) {
-        // Two digests shared by all threads plus one private per thread.
+        // Two digests shared by all threads plus one private per thread;
+        // every part of the record is written under the one mutex.
         uint64_t digest = i % 3 == 2 ? 100 + t : i % 3;
-        store.Record(digest, "t", "query", true, 1, 10);
+        store.RecordCompile(digest, "t", obs::RewriteTrace{});
+        store.RecordExecution(digest, "t", 10, &profile, /*plan_hash=*/1,
+                              "OUT=scan:T", {});
+        store.RecordStatement(digest, "t", "query", true, 1, 10);
       }
     });
   }
   go.store(true);
   for (auto& t : threads) t.join();
-  int64_t calls = 0;
-  for (const obs::StatementSnapshot& s : store.Snapshot()) calls += s.calls;
+  int64_t calls = 0, captures = 0, executions = 0, scan_us = 0;
+  for (const obs::DigestRecord& s : store.Snapshot()) {
+    calls += s.calls;
+    captures += s.captures;
+    executions += s.executions;
+    scan_us += s.scan_self_us;
+    EXPECT_EQ(s.plan_changes, 0);
+  }
   EXPECT_EQ(calls, int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(captures, int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(executions, int64_t{kThreads} * kPerThread);
+  EXPECT_EQ(scan_us, 2 * int64_t{kThreads} * kPerThread);
   EXPECT_EQ(store.size(), 2u + kThreads);
   EXPECT_EQ(store.dropped(), 0);
+}
+
+TEST(DigestStoreTest, OneRecordCarriesEveryPart) {
+  // Compile, execution and statement outcome of one digest share a record:
+  // the store holds one entry, and a digest that has only been compiled is
+  // not yet a finished statement.
+  obs::DigestStore store;
+  obs::RewriteTrace trace;
+  trace.Add({"merge_select", 1, true, 0, 5, 3, 2});
+  store.RecordCompile(42, "SELECT ?", trace);
+  std::vector<obs::DigestRecord> snap = store.Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].calls, 0);
+  EXPECT_TRUE(snap[0].kind.empty());
+
+  obs::QueryProfile profile;
+  profile.wall_us = 70;
+  profile.ops.push_back({"hash_join", 1, 4, 1, 9, 6});
+  std::vector<obs::OpFeedback> fb = {
+      {"OUT", "hash_join", 2.0, 4, 1, obs::QError(2.0, 4.0)}};
+  store.RecordExecution(42, "SELECT ?", 70, &profile, /*plan_hash=*/5,
+                        "OUT=hash_join(scan:T,scan:U)", std::move(fb));
+  store.RecordStatement(42, "SELECT ?", "query", true, 4, 90);
+
+  snap = store.Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  const obs::DigestRecord& r = snap[0];
+  EXPECT_EQ(r.kind, "query");
+  EXPECT_EQ(r.calls, 1);
+  EXPECT_EQ(r.total_us, 90);
+  EXPECT_EQ(r.captures, 1);
+  EXPECT_EQ(r.last_profile.wall_us, 70);
+  EXPECT_EQ(r.join_self_us, 6);
+  ASSERT_EQ(r.trace.events.size(), 1u);
+  EXPECT_EQ(r.trace.events[0].rule, "merge_select");
+  ASSERT_EQ(r.worst.size(), 1u);
+  EXPECT_EQ(r.worst[0].op, "hash_join");
+  ASSERT_EQ(r.plans.size(), 1u);
+  EXPECT_EQ(r.plans[0].total_execute_us, 70);
+  EXPECT_EQ(r.current_plan, 5u);
+
+  // An execution with neither a profile nor a plan shape leaves those
+  // parts as they were (the XNFDB_QUERY_PROFILES / XNFDB_PLAN_FEEDBACK
+  // kill switches).
+  store.RecordExecution(42, "SELECT ?", 70, nullptr, 6, "", {});
+  snap = store.Snapshot();
+  EXPECT_EQ(snap[0].captures, 1);
+  EXPECT_EQ(snap[0].executions, 1);
+  EXPECT_EQ(snap[0].current_plan, 5u);
 }
 
 }  // namespace

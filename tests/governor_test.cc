@@ -421,7 +421,7 @@ TEST(GovernorTest, GovernorTerminationIsAttributedInStatementStats) {
   ASSERT_FALSE(r.ok());
   // The failed execution is recorded as an error under its fingerprint.
   bool found = false;
-  for (const auto& row : db.statement_stats().Snapshot()) {
+  for (const auto& row : db.digest_store().Snapshot()) {
     if (row.kind != "query" || row.text.find("WIDE") == std::string::npos) {
       continue;
     }

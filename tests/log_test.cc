@@ -126,7 +126,7 @@ TEST(SlowQueryLogTest, LogLevelOffSilencesSlowLog) {
   ASSERT_TRUE(db.Query("SELECT A FROM T").ok());
   EXPECT_TRUE(capture.lines().empty());
   // The statement still landed in sys$statements despite the silent log.
-  EXPECT_EQ(db.statement_stats().size(), 2u);  // CREATE TABLE + SELECT
+  EXPECT_EQ(db.digest_store().size(), 2u);  // CREATE TABLE + SELECT
 }
 
 }  // namespace

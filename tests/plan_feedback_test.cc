@@ -10,6 +10,7 @@
 
 #include "api/database.h"
 #include "common/log.h"
+#include "obs/digest_store.h"
 #include "obs/plan_feedback.h"
 #include "tests/paper_db.h"
 #include "xnf/compiler.h"
@@ -219,42 +220,50 @@ TEST(PlanFeedbackTest, AllThreeViewsQueryableThroughSql) {
 }
 
 TEST(PlanFeedbackTest, StoreIsBoundedAndEvictsOldestPlan) {
-  obs::PlanFeedbackStore store(/*capacity=*/2, /*max_ops=*/2,
-                               /*max_plans=*/2);
+  obs::DigestStore store(/*capacity=*/2);
   obs::RewriteTrace trace;
   store.RecordCompile(1, "q1", trace);
   store.RecordCompile(2, "q2", trace);
   store.RecordCompile(3, "q3", trace);  // over capacity: dropped
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.dropped(), 1);
-  // Three distinct plans for digest 1: the oldest-seen one is evicted.
-  store.RecordExecution(1, "q1", 11, "shape-a", 100, {});
-  store.RecordExecution(1, "q1", 22, "shape-b", 100, {});
-  store.RecordExecution(1, "q1", 33, "shape-c", 100, {});
-  std::vector<obs::PlanFeedbackSnapshot> snap = store.Snapshot();
+  // kMaxPlans + 1 distinct plans for digest 1: the oldest-seen one is
+  // evicted.
+  const uint64_t kPlans = obs::DigestStore::kMaxPlans + 1;
+  for (uint64_t h = 1; h <= kPlans; ++h) {
+    store.RecordExecution(1, "q1", 100, nullptr, /*plan_hash=*/h * 11,
+                          "shape-" + std::to_string(h), {});
+  }
+  std::vector<obs::DigestRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  const obs::PlanFeedbackSnapshot& s1 = snap[0];
+  const obs::DigestRecord& s1 = snap[0];
   EXPECT_EQ(s1.digest, 1u);
-  ASSERT_EQ(s1.plans.size(), 2u);
+  ASSERT_EQ(s1.plans.size(), obs::DigestStore::kMaxPlans);
   for (const obs::PlanRecord& p : s1.plans) {
     EXPECT_NE(p.plan_hash, 11u);  // the first plan was evicted
+    EXPECT_EQ(p.total_execute_us, 100);
   }
-  EXPECT_EQ(s1.current_plan, 33u);
-  EXPECT_EQ(s1.executions, 3);
-  EXPECT_EQ(s1.plan_changes, 2);
-  // Worst-offender list is truncated to max_ops, sorted by q-error.
-  std::vector<obs::OpFeedback> fb(3);
-  fb[0] = {"OUT", "scan", 10.0, 1000, 1, obs::QError(10.0, 1000.0)};
-  fb[1] = {"OUT", "filter", 10.0, 20, 1, obs::QError(10.0, 20.0)};
-  fb[2] = {"OUT", "hash_join", 10.0, 5000, 1, obs::QError(10.0, 5000.0)};
-  store.RecordExecution(2, "q2", 44, "shape-d", 100, std::move(fb));
+  EXPECT_EQ(s1.current_plan, kPlans * 11);
+  EXPECT_EQ(s1.executions, static_cast<int64_t>(kPlans));
+  EXPECT_EQ(s1.plan_changes, static_cast<int64_t>(kPlans) - 1);
+  // Worst-offender list is truncated to kMaxOps, sorted by q-error: of
+  // kMaxOps + 2 offenders with growing actuals, the two smallest drop out.
+  std::vector<obs::OpFeedback> fb;
+  const int kOffenders = static_cast<int>(obs::DigestStore::kMaxOps) + 2;
+  for (int i = 0; i < kOffenders; ++i) {
+    const double actual = 20.0 * (i + 1);
+    fb.push_back({"OUT", "op" + std::to_string(i), 10.0,
+                  static_cast<int64_t>(actual), 1, obs::QError(10.0, actual)});
+  }
+  store.RecordExecution(2, "q2", 100, nullptr, 44, "shape-d", std::move(fb));
   snap = store.Snapshot();
-  const obs::PlanFeedbackSnapshot& s2 = snap[1];
-  ASSERT_EQ(s2.worst.size(), 2u);
-  EXPECT_EQ(s2.worst[0].op, "hash_join");
-  EXPECT_EQ(s2.worst[1].op, "scan");
+  const obs::DigestRecord& s2 = snap[1];
+  ASSERT_EQ(s2.worst.size(), obs::DigestStore::kMaxOps);
+  for (size_t i = 0; i < s2.worst.size(); ++i) {
+    EXPECT_EQ(s2.worst[i].op, "op" + std::to_string(kOffenders - 1 - i));
+  }
   obs::OpFeedback top = store.TopMisestimate(2);
-  EXPECT_EQ(top.op, "hash_join");
+  EXPECT_EQ(top.op, "op" + std::to_string(kOffenders - 1));
   EXPECT_TRUE(store.TopMisestimate(999).op.empty());
   store.Reset();
   EXPECT_EQ(store.size(), 0u);
@@ -267,9 +276,16 @@ TEST(PlanFeedbackTest, EnvKnobDisablesCapture) {
   ::unsetenv("XNFDB_PLAN_FEEDBACK");
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   ASSERT_TRUE(db.Query("SELECT ENO FROM EMP").ok());
-  EXPECT_EQ(db.plan_feedback().size(), 0u);
-  // The views stay registered and queryable — just empty.
+  // The views stay registered and queryable — just empty — while the
+  // statement itself is still counted.
+  EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$REWRITES").empty());
+  EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$PLAN_FEEDBACK").empty());
   EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$PLAN_HISTORY").empty());
+  std::vector<Tuple> stmts = MustRows(
+      &db,
+      "SELECT CALLS FROM SYS$STATEMENTS WHERE TEXT = 'SELECT ENO FROM EMP'");
+  ASSERT_EQ(stmts.size(), 1u);
+  EXPECT_EQ(stmts[0][0].AsInt(), 1);
 }
 
 TEST(PlanFeedbackTest, SlowlogCarriesTopMisestimate) {

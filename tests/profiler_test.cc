@@ -1,8 +1,9 @@
 // Tests of the continuous workload profiler: the metrics time-series
 // sampler (obs/sampler.h, SYS$METRICS_HISTORY), the always-on per-query
-// profile store (obs/query_profile.h, SYS$QUERY_PROFILES and the
-// SYS$STATEMENTS self-time rollup), and the stuck-query watchdog
-// (api/watchdog.h) including auto-cancel of a deliberately wedged query.
+// profiles (obs/query_profile.h, kept per digest in obs/digest_store.h;
+// SYS$QUERY_PROFILES and the SYS$STATEMENTS self-time rollup), and the
+// stuck-query watchdog (api/watchdog.h) including auto-cancel of a
+// deliberately wedged query.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "api/watchdog.h"
 #include "common/log.h"
 #include "obs/metrics.h"
+#include "obs/digest_store.h"
 #include "obs/query_profile.h"
 #include "obs/sampler.h"
 #include "storage/sysview.h"
@@ -201,28 +203,34 @@ TEST(QueryProfileTest, ClassifyOpBuckets) {
 }
 
 TEST(QueryProfileTest, StoreIsBoundedAndCountsDrops) {
-  obs::QueryProfileStore store(2);
+  obs::DigestStore store(2);
   obs::QueryProfile p;
   p.wall_us = 10;
-  store.Record(1, "one", p);
-  store.Record(2, "two", p);
-  store.Record(3, "three", p);  // over capacity: dropped
-  store.Record(1, "one", p);    // existing digest still accumulates
+  auto capture = [&](uint64_t digest, const char* text) {
+    store.RecordExecution(digest, text, p.wall_us, &p, 0, "", {});
+  };
+  capture(1, "one");
+  capture(2, "two");
+  capture(3, "three");  // over capacity: dropped
+  p.wall_us = 15;
+  capture(1, "one");  // existing digest still accumulates
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.dropped(), 1);
 
-  std::vector<obs::QueryProfileSnapshot> snap = store.Snapshot();
+  std::vector<obs::DigestRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].digest, 1u);
+  EXPECT_EQ(snap[0].text, "one");
   EXPECT_EQ(snap[0].captures, 2);
-  EXPECT_EQ(snap[0].total_wall_us, 20);
+  EXPECT_EQ(snap[0].last_profile.wall_us, 15);
 
   store.Reset();
   EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.dropped(), 0);
 }
 
 TEST(QueryProfileTest, ClassSelfTimesAccumulateByBucket) {
-  obs::QueryProfileStore store;
+  obs::DigestStore store;
   obs::QueryProfile p;
   obs::OpProfile scan;
   scan.op = "scan";
@@ -231,15 +239,22 @@ TEST(QueryProfileTest, ClassSelfTimesAccumulateByBucket) {
   join.op = "hash_join";
   join.self_us = 20;
   p.ops = {scan, join};
-  store.Record(9, "q", p);
-  store.Record(9, "q", p);
+  store.RecordExecution(9, "q", 0, &p, 0, "", {});
+  store.RecordExecution(9, "q", 0, &p, 0, "", {});
+  // A digest with statement outcomes but no capture yet.
+  store.RecordStatement(12345, "r", "query", true, 0, 1);
 
-  obs::QueryProfileStore::ClassTotals totals = store.ClassSelfTimes(9);
-  EXPECT_EQ(totals.scan_us, 60);
-  EXPECT_EQ(totals.join_us, 40);
-  EXPECT_EQ(totals.filter_us, 0);
-  // Unknown digests report zeros.
-  EXPECT_EQ(store.ClassSelfTimes(12345).scan_us, 0);
+  std::vector<obs::DigestRecord> snap = store.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].digest, 9u);
+  EXPECT_EQ(snap[0].scan_self_us, 60);
+  EXPECT_EQ(snap[0].join_self_us, 40);
+  EXPECT_EQ(snap[0].filter_self_us, 0);
+  EXPECT_EQ(snap[0].other_self_us, 0);
+  // Digests without a capture report zeros.
+  EXPECT_EQ(snap[1].digest, 12345u);
+  EXPECT_EQ(snap[1].scan_self_us, 0);
+  EXPECT_EQ(snap[1].join_self_us, 0);
 }
 
 TEST(QueryProfileTest, ExecutionCapturesProfileForFingerprint) {
@@ -247,16 +262,19 @@ TEST(QueryProfileTest, ExecutionCapturesProfileForFingerprint) {
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   ASSERT_TRUE(db.Execute("SELECT * FROM EMP WHERE SAL > 0").ok());
 
-  std::vector<obs::QueryProfileSnapshot> snap = db.query_profiles().Snapshot();
-  const obs::QueryProfileSnapshot* entry = nullptr;
-  for (const obs::QueryProfileSnapshot& s : snap) {
-    if (s.text.find("EMP") != std::string::npos) entry = &s;
+  std::vector<obs::DigestRecord> snap = db.digest_store().Snapshot();
+  const obs::DigestRecord* entry = nullptr;
+  for (const obs::DigestRecord& s : snap) {
+    // The loader's DDL/DML on EMP have records too, but no profile.
+    if (s.kind == "query" && s.text.find("EMP") != std::string::npos) {
+      entry = &s;
+    }
   }
   ASSERT_NE(entry, nullptr) << "no profile captured for the EMP query";
   EXPECT_EQ(entry->captures, 1);
-  EXPECT_GT(entry->last.rows_out, 0);
+  EXPECT_GT(entry->last_profile.rows_out, 0);
   bool saw_scan = false;
-  for (const obs::OpProfile& op : entry->last.ops) {
+  for (const obs::OpProfile& op : entry->last_profile.ops) {
     if (op.op == "scan") {
       saw_scan = true;
       EXPECT_GT(op.rows, 0);
@@ -309,7 +327,15 @@ TEST(QueryProfileTest, EnvKnobDisablesCapture) {
   ::unsetenv("XNFDB_QUERY_PROFILES");
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   ASSERT_TRUE(db.Execute("SELECT * FROM EMP").ok());
-  EXPECT_EQ(db.query_profiles().size(), 0u);
+  // The profile view stays registered and queryable — just empty — while
+  // the statement itself is still counted.
+  EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$QUERY_PROFILES").empty());
+  std::vector<Tuple> stmts = MustRows(
+      &db, "SELECT CALLS, SCAN_SELF_US FROM SYS$STATEMENTS "
+           "WHERE TEXT = 'SELECT * FROM EMP'");
+  ASSERT_EQ(stmts.size(), 1u);
+  EXPECT_EQ(stmts[0][0].AsInt(), 1);
+  EXPECT_EQ(stmts[0][1].AsInt(), 0);
 }
 
 TEST(QueryProfileTest, MorselExecutionRecordsWorkerRows) {

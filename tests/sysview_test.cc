@@ -5,11 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "api/database.h"
-#include "obs/statement_stats.h"
+#include "obs/digest_store.h"
 
 namespace xnfdb {
 namespace {
@@ -108,13 +109,48 @@ TEST(SysViewTest, SysStatementsKeepsOneRowPerShape) {
 
   // The store is queryable through the API too, and agrees.
   bool found = false;
-  for (const obs::StatementSnapshot& s : db.statement_stats().Snapshot()) {
+  for (const obs::DigestRecord& s : db.digest_store().Snapshot()) {
     if (s.text == "SELECT A FROM T WHERE (A = ?)") {
       found = true;
       EXPECT_EQ(s.calls, 2);
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(SysViewTest, EveryQueryDigestHasRowsInEveryPerDigestView) {
+  // 300 distinct query shapes, within the store's 512-digest capacity:
+  // every query listed in SYS$STATEMENTS must also have its profile and its
+  // plan history (any per-part bound below 300 would drop some).
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO T VALUES (1), (2)").ok());
+  constexpr int kShapes = 300;
+  for (int i = 0; i < kShapes; ++i) {
+    const std::string q = "SELECT A AS C" + std::to_string(i) + " FROM T";
+    Result<QueryResult> r = db.Query(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+  }
+  auto digests = [&](const std::string& sql) {
+    std::set<std::string> out;
+    for (const Tuple& row : MustRows(&db, sql)) out.insert(row[0].AsString());
+    return out;
+  };
+  std::set<std::string> queries =
+      digests("SELECT DIGEST FROM SYS$STATEMENTS WHERE KIND = 'query'");
+  EXPECT_EQ(queries.size(), size_t{kShapes});
+  std::set<std::string> profiled =
+      digests("SELECT DIGEST FROM SYS$QUERY_PROFILES");
+  std::set<std::string> planned =
+      digests("SELECT DIGEST FROM SYS$PLAN_HISTORY");
+  int missing_profile = 0;
+  int missing_plan = 0;
+  for (const std::string& d : queries) {
+    if (profiled.count(d) == 0) ++missing_profile;
+    if (planned.count(d) == 0) ++missing_plan;
+  }
+  EXPECT_EQ(missing_profile, 0);
+  EXPECT_EQ(missing_plan, 0);
 }
 
 TEST(SysViewTest, SysHistogramsEmitsOneRowPerBucket) {
