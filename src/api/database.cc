@@ -357,12 +357,14 @@ Status Database::RunTimed(const ast::Statement& stmt, Outcome* outcome) {
   return status;
 }
 
-Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
-                                              const ExecOptions& eopts) {
+Result<QueryResult> Database::ExecuteGoverned(
+    CompiledQuery& compiled, const ExecOptions& eopts, const std::string* text,
+    const MatViewStore::ServeHandle* served) {
   ExecOptions eo = WithObs(eopts);
   // Capture the compile-side rewrite trace before execution: even a
   // statement that fails at runtime keeps its rule log in SYS$REWRITES.
-  if (capture_feedback_) {
+  // A fast-path serve compiled nothing, so the last real trace stays.
+  if (capture_feedback_ && served == nullptr) {
     digests_.RecordCompile(compiled.digest, compiled.normalized_text,
                            compiled.rewrite_stats.trace);
   }
@@ -394,55 +396,60 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
   // the flight recorder's tail reads as a faithful interleaving of what
   // the engine was executing when something else went wrong.
   obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
-  const std::string digest_hex = obs::DigestHex(compiled.digest);
-  recorder.Record("query", "info", "query start", "digest=" + digest_hex);
+  const std::string digest_field = "digest=" + obs::DigestHex(compiled.digest);
+  recorder.Record("query", "info", "query start", digest_field);
   Result<int64_t> admitted =
       governor_.Admit(compiled.normalized_text, eo.context);
   if (!admitted.ok()) {
     recorder.Record("query", "warn", "query end",
-                    "digest=" + digest_hex + " status=" +
+                    digest_field + " status=" +
                         TerminationKeyword(admitted.status()));
     return admitted.status();
   }
   const int64_t qid = admitted.value();
-  // Materialized-view plan matching: a fresh materialization of this digest
+  // Materialized-view plan matching: a fresh materialization of this key
   // answers the query from stored rows; otherwise, when the statement's
   // execution history crosses the capture policy (or a stale/pinned entry
   // wants a refresh), this execution runs with derivation-count collection
   // and its result is stored below. Recursive COs never participate.
   MatViewStore::ServeHandle mv;
-  bool serve = false;
+  bool serve = served != nullptr;
   bool capture = false;
-  if (!compiled.needs_fixpoint && compiled.graph != nullptr) {
-    serve = matviews_.TryServe(compiled.digest, &mv);
+  if (!serve && !compiled.needs_fixpoint && compiled.graph != nullptr) {
+    serve = matviews_.TryServe(compiled.key, &mv);
     if (!serve) {
       int64_t prior_calls = 0, prior_avg_us = 0;
       digests_.Stats(compiled.digest, &prior_calls, &prior_avg_us);
-      capture =
-          matviews_.WantCapture(compiled.digest, prior_calls, prior_avg_us);
+      capture = matviews_.WantCapture(compiled.key, prior_calls, prior_avg_us);
       if (capture) eo.collect_dedup_counts = true;
     }
   }
   const int64_t exec_t0 = NowUs();
   Result<QueryResult> result =
-      serve ? ServeMatView(compiled, mv, eo)
+      serve ? ServeMatView(served != nullptr ? *served : mv, eo)
       : compiled.needs_fixpoint
           ? ExecuteXnfFixpoint(catalog_, *compiled.graph, eo)
           : ExecuteGraph(catalog_, *compiled.graph, eo);
+  bool aliasable = result.ok() && serve;
   if (result.ok() && capture) {
     // The graph moves into the store for delta re-planning; no later code
     // path reads it (EXPLAIN recompiles). A cancelled refresh never gets
     // here, so a mid-refresh kill simply leaves the entry unmaterialized.
     Status stored = matviews_.Store(
-        compiled.digest, compiled.normalized_text, catalog_,
+        compiled.key, compiled.digest, compiled.normalized_text, catalog_,
         std::shared_ptr<qgm::QueryGraph>(std::move(compiled.graph)),
         result.value());
-    (void)stored;  // ineligible shapes are counted in matview.rejects
+    aliasable = stored.ok();  // ineligible shapes count in matview.rejects
+  }
+  // This text compiled to this key and the entry answered it (or now
+  // holds its answer): the next run of the same text may skip compiling.
+  if (aliasable && text != nullptr) {
+    matviews_.AddAlias(*text, compiled.key);
   }
   governor_.Release(qid, result.ok() ? Status::Ok() : result.status());
   recorder.Record(
       "query", result.ok() ? "info" : "warn", "query end",
-      "digest=" + digest_hex + " status=" +
+      digest_field + " status=" +
           (result.ok() ? "ok" : TerminationKeyword(result.status())));
   if (!result.ok()) return result;
   // Always-on capture: one store write per successful execution carries the
@@ -492,12 +499,11 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
 }
 
 Result<QueryResult> Database::ServeMatView(
-    const CompiledQuery& compiled, const MatViewStore::ServeHandle& handle,
-    const ExecOptions& eo) {
-  (void)compiled;
+    const MatViewStore::ServeHandle& handle, const ExecOptions& eo) {
   const MatViewData& data = *handle.data;
   QueryContext* ctx = eo.context.get();
   QueryResult r;
+  r.stream.reserve(static_cast<size_t>(data.total_rows));
   r.outputs.reserve(data.outputs.size());
   for (const MatViewOutputData& od : data.outputs) {
     r.outputs.push_back(od.desc);
@@ -594,9 +600,9 @@ Result<QueryResult> Database::ServeMatView(
 
 Status Database::RunMaterialize(const ast::MaterializeStatement& stmt,
                                 Outcome* outcome) {
-  // Compiling the view by name yields the digest any matching execution
-  // arrives under — the view name, its expanded body, or an equivalent
-  // literal binding all normalize to the same fingerprint.
+  // Compiling the view by name yields the key any matching execution
+  // arrives under — the view name and its expanded body (with the same
+  // literal values) share digest and key.
   XNFDB_ASSIGN_OR_RETURN(
       CompiledQuery compiled,
       CompileQueryString(catalog_, stmt.name, WithObs(CompileOptions())));
@@ -606,7 +612,8 @@ Status Database::RunMaterialize(const ast::MaterializeStatement& stmt,
         "store)");
   }
   XNFDB_RETURN_IF_ERROR(
-      matviews_.Pin(stmt.name, compiled.digest, compiled.normalized_text));
+      matviews_.Pin(stmt.name, compiled.key, compiled.digest,
+                    compiled.normalized_text));
   // The stale pinned entry makes WantCapture fire, so this execution's
   // result is stored. Re-MATERIALIZE of a fresh entry serves — idempotent.
   XNFDB_ASSIGN_OR_RETURN(QueryResult result,
@@ -817,10 +824,22 @@ Result<QueryResult> Database::Query(const std::string& text,
   CountServerCall();
   obs::Span query_span = tracer_.StartSpan("query");
   int64_t t0 = NowUs();
-  XNFDB_ASSIGN_OR_RETURN(CompiledQuery compiled,
-                         CompileQueryString(catalog_, text, WithObs(copts)));
+  // Fast path: this exact text was compiled before to a key whose stored
+  // answer is fresh, so parse, semantics, both rewrites and planning are
+  // skipped; governance, serving and recording run as for any execution.
+  MatViewStore::ServeHandle served;
+  const bool fast = matviews_.TryServeText(text, &served);
+  CompiledQuery compiled;
+  if (fast) {
+    compiled.digest = served.digest;
+    compiled.normalized_text = std::move(served.text);
+  } else {
+    XNFDB_ASSIGN_OR_RETURN(compiled,
+                           CompileQueryString(catalog_, text, WithObs(copts)));
+  }
   int64_t t1 = NowUs();
-  Result<QueryResult> result = ExecuteGoverned(compiled, eopts);
+  Result<QueryResult> result = ExecuteGoverned(
+      compiled, eopts, fast ? nullptr : &text, fast ? &served : nullptr);
   int64_t t2 = NowUs();
   Fingerprint fp{compiled.normalized_text, compiled.digest};
   RecordStatement(fp, "query",
@@ -851,10 +870,10 @@ Result<std::string> Database::ExplainCompiled(const CompiledQuery& compiled,
     out += compiled.graph->ToString();
     return out;
   }
-  // Matview provenance: a fresh materialization of this digest means the
+  // Matview provenance: a fresh materialization of this key means the
   // query would not run its join trees at all — show the serve plan.
   MatViewStore::ServeHandle mv;
-  if (matviews_.Peek(compiled.digest, &mv)) {
+  if (matviews_.Peek(compiled.key, &mv)) {
     out += "matview: " + mv.name + " (fresh, " +
            std::to_string(mv.data->total_rows) + " stored rows)\n";
     ExecStats mv_stats;
@@ -963,6 +982,19 @@ Result<QueryResult> Database::QueryXnf(const ast::XnfQuery& query,
 
 Status Database::RunStatement(const ast::Statement& stmt, Outcome* outcome) {
   using Kind = ast::Statement::Kind;
+  switch (stmt.kind) {
+    case Kind::kCreateTable:
+    case Kind::kCreateView:
+    case Kind::kCreateIndex:
+    case Kind::kDropTable:
+    case Kind::kDropView:
+      // Catalog DDL may change what a view name (or `*`) means, so no
+      // statement text keeps skipping compilation across it.
+      matviews_.DropAliases();
+      break;
+    default:
+      break;
+  }
   switch (stmt.kind) {
     case Kind::kSelect: {
       const auto& s = static_cast<const ast::SelectStatement&>(stmt);

@@ -71,7 +71,9 @@ class Database {
 
   // Compiles and runs a query: a SELECT, an OUT OF query, or the name of a
   // stored (SQL or XNF) view. Recursive COs are routed to the fixpoint
-  // evaluator automatically.
+  // evaluator automatically. A text whose earlier compiled execution was
+  // answered by (or captured into) a materialized view that is still fresh
+  // is served without compiling (see MatViewStore::TryServeText).
   Result<QueryResult> Query(const std::string& text,
                             const CompileOptions& copts = {},
                             const ExecOptions& eopts = {});
@@ -244,17 +246,25 @@ class Database {
                                       const ExecOptions& eopts);
   // Runs a compiled query under governance: builds the QueryContext (limits
   // from `eopts` falling back to governor defaults), admits, executes via
-  // the fixpoint or graph path, and releases.
+  // the fixpoint or graph path (or serves a fresh materialization), and
+  // releases.
   // Non-const `compiled`: when this execution is captured as a
   // materialization, the compiled graph moves into the matview store (for
   // delta re-planning) instead of being cloned.
-  Result<QueryResult> ExecuteGoverned(CompiledQuery& compiled,
-                                      const ExecOptions& eopts);
+  // `text`: the statement text `compiled` came from; once this execution is
+  // served from or captured into a matview entry, it becomes an alias of
+  // that entry (null: record none).
+  // `served`: Query's compile-free fast path — `compiled` then carries only
+  // digest and normalized text (no graph), nothing is recorded as a
+  // compile, and `served` is the answer.
+  Result<QueryResult> ExecuteGoverned(
+      CompiledQuery& compiled, const ExecOptions& eopts,
+      const std::string* text = nullptr,
+      const MatViewStore::ServeHandle* served = nullptr);
   // Builds the QueryResult of a matview serve: MatViewScanOps over the
   // stored component streams, connections emitted from stored partner-tid
   // tuples, stats/plan-shape/feedback/profile filled as a real execution.
-  Result<QueryResult> ServeMatView(const CompiledQuery& compiled,
-                                   const MatViewStore::ServeHandle& handle,
+  Result<QueryResult> ServeMatView(const MatViewStore::ServeHandle& handle,
                                    const ExecOptions& eo);
   Status RunMaterialize(const ast::MaterializeStatement& stmt,
                         Outcome* outcome);

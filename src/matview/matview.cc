@@ -1,6 +1,7 @@
 #include "matview/matview.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
@@ -145,9 +146,28 @@ void MatViewStore::set_enabled(bool on) {
   enabled_ = on;
 }
 
-bool MatViewStore::TryServe(uint64_t digest, ServeHandle* out) {
+void MatViewStore::Fill(const Entry& e, ServeHandle* out) {
+  out->name = e.name;
+  out->data = e.data;
+  out->digest = e.digest;
+  out->text = e.text;
+}
+
+void MatViewStore::HitLocked(Entry& e, ServeHandle* out) {
+  ++e.hits;
+  hits_->Increment();
+  Fill(e, out);
+}
+
+MatViewStore::EntryMap::iterator MatViewStore::EraseLocked(
+    EntryMap::iterator it) {
+  for (const std::string& text : it->second.aliases) aliases_.erase(text);
+  return entries_.erase(it);
+}
+
+bool MatViewStore::TryServe(uint64_t key, ServeHandle* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(digest);
+  auto it = entries_.find(key);
   // Shapes the store has never seen are not misses — only a known entry
   // that cannot serve (stale, or the store is disabled) counts.
   if (it == entries_.end()) return false;
@@ -155,30 +175,70 @@ bool MatViewStore::TryServe(uint64_t digest, ServeHandle* out) {
     misses_->Increment();
     return false;
   }
-  ++it->second.hits;
-  hits_->Increment();
-  out->name = it->second.name;
-  out->data = it->second.data;
+  HitLocked(it->second, out);
   return true;
 }
 
-bool MatViewStore::Peek(uint64_t digest, ServeHandle* out) const {
+bool MatViewStore::Peek(uint64_t key, ServeHandle* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(digest);
+  auto it = entries_.find(key);
   if (it == entries_.end() || !enabled_ || !it->second.fresh ||
       it->second.data == nullptr) {
     return false;
   }
-  out->name = it->second.name;
-  out->data = it->second.data;
+  Fill(it->second, out);
   return true;
 }
 
-bool MatViewStore::WantCapture(uint64_t digest, int64_t prior_calls,
+bool MatViewStore::TryServeText(const std::string& text, ServeHandle* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!enabled_ || aliases_.empty()) return false;
+  auto alias = aliases_.find(text);
+  if (alias == aliases_.end()) return false;
+  auto it = entries_.find(alias->second);
+  if (it == entries_.end() || !it->second.fresh ||
+      it->second.data == nullptr) {
+    return false;
+  }
+  HitLocked(it->second, out);
+  return true;
+}
+
+void MatViewStore::AddAlias(const std::string& text, uint64_t key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return;
+  auto [alias, added] = aliases_.emplace(text, key);
+  if (!added) {
+    if (alias->second == key) return;
+    // The text compiled to another entry since it was aliased (only a
+    // catalog change that bypassed DropAliases can do that): re-point.
+    auto old = entries_.find(alias->second);
+    if (old != entries_.end()) {
+      std::vector<std::string>& texts = old->second.aliases;
+      texts.erase(std::find(texts.begin(), texts.end(), text));
+    }
+    alias->second = key;
+  }
+  std::vector<std::string>& texts = it->second.aliases;
+  if (texts.size() >= kMaxAliasesPerEntry) {
+    aliases_.erase(texts.front());
+    texts.erase(texts.begin());
+  }
+  texts.push_back(text);
+}
+
+void MatViewStore::DropAliases() {
+  std::lock_guard<std::mutex> lock(mu_);
+  aliases_.clear();
+  for (auto& [key, e] : entries_) e.aliases.clear();
+}
+
+bool MatViewStore::WantCapture(uint64_t key, int64_t prior_calls,
                                int64_t prior_avg_us) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return false;
-  auto it = entries_.find(digest);
+  auto it = entries_.find(key);
   // A known entry that did not serve is stale (or empty-pinned): refresh.
   if (it != entries_.end()) return !it->second.fresh;
   if (entries_.size() >= config_.max_views) return false;
@@ -186,8 +246,8 @@ bool MatViewStore::WantCapture(uint64_t digest, int64_t prior_calls,
          prior_avg_us >= config_.auto_min_avg_us;
 }
 
-Status MatViewStore::Store(uint64_t digest, const std::string& text,
-                           const Catalog& catalog,
+Status MatViewStore::Store(uint64_t key, uint64_t digest,
+                           const std::string& text, const Catalog& catalog,
                            std::shared_ptr<qgm::QueryGraph> graph,
                            const QueryResult& result) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -201,7 +261,7 @@ Status MatViewStore::Store(uint64_t digest, const std::string& text,
         "matview: result exceeds XNFDB_MATVIEW_MAX_ROWS (" +
         std::to_string(config_.max_rows) + ")");
   }
-  auto it = entries_.find(digest);
+  auto it = entries_.find(key);
   const bool existed = it != entries_.end();
   if (!existed && entries_.size() >= config_.max_views) {
     rejects_->Increment();
@@ -222,9 +282,11 @@ Status MatViewStore::Store(uint64_t digest, const std::string& text,
     e.full_refreshes = old.full_refreshes;
     e.fallbacks = old.fallbacks;
     e.created_us = old.created_us;
+    e.aliases = old.aliases;
   } else {
-    e.name = "AUTO$" + obs::DigestHex(digest).substr(0, 12);
+    e.name = "AUTO$" + obs::DigestHex(key).substr(0, 12);
   }
+  e.key = key;
   e.digest = digest;
   e.text = text;
   if (e.created_us == 0) e.created_us = NowUs();
@@ -321,29 +383,29 @@ Status MatViewStore::Store(uint64_t digest, const std::string& text,
     it->second = std::move(e);
   } else {
     materializations_->Increment();
-    entries_.emplace(digest, std::move(e));
+    entries_.emplace(key, std::move(e));
   }
   UpdateGaugesLocked();
   return Status::Ok();
 }
 
-Status MatViewStore::Pin(const std::string& name, uint64_t digest,
-                         const std::string& text) {
+Status MatViewStore::Pin(const std::string& name, uint64_t key,
+                         uint64_t digest, const std::string& text) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) {
     return Status::Unsupported(
         "materialized views are disabled (XNFDB_MATVIEWS=0)");
   }
   // One name names one materialization: a re-MATERIALIZE after the view
-  // was redefined (new digest) replaces the old entry.
+  // was redefined (new key) replaces the old entry.
   for (auto iter = entries_.begin(); iter != entries_.end();) {
-    if (iter->second.name == name && iter->first != digest) {
-      iter = entries_.erase(iter);
+    if (iter->second.name == name && iter->first != key) {
+      iter = EraseLocked(iter);
     } else {
       ++iter;
     }
   }
-  auto it = entries_.find(digest);
+  auto it = entries_.find(key);
   if (it != entries_.end()) {
     it->second.pinned = true;
     it->second.name = name;
@@ -357,11 +419,12 @@ Status MatViewStore::Pin(const std::string& name, uint64_t digest,
   }
   Entry e;
   e.name = name;
+  e.key = key;
   e.digest = digest;
   e.text = text;
   e.pinned = true;
   e.created_us = NowUs();
-  entries_.emplace(digest, std::move(e));
+  entries_.emplace(key, std::move(e));
   UpdateGaugesLocked();
   return Status::Ok();
 }
@@ -370,7 +433,7 @@ bool MatViewStore::Dematerialize(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->second.name == name) {
-      entries_.erase(it);
+      EraseLocked(it);
       invalidations_->Increment();
       UpdateGaugesLocked();
       return true;
@@ -387,7 +450,7 @@ void MatViewStore::OnBaseTableDml(const Catalog& catalog,
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_.empty()) return;
   bool changed = false;
-  for (auto& [digest, e] : entries_) {
+  for (auto& [key, e] : entries_) {
     if (!e.fresh || e.tables.count(table) == 0) continue;
     changed = true;
     if (!enabled_ || e.delta_ineligible.count(table) > 0) {
@@ -402,6 +465,7 @@ void MatViewStore::OnBaseTableDml(const Catalog& catalog,
     Status s = ApplyDeltaLocked(catalog, &e, table, inserted, deleted);
     if (!s.ok()) {
       e.fresh = false;
+      e.data.reset();
       ++e.fallbacks;
       fallbacks_->Increment();
       obs::FlightRecorder::Default().Record(
@@ -477,9 +541,18 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
   XNFDB_RETURN_IF_ERROR(drain(deleted, &del_rows));
   XNFDB_RETURN_IF_ERROR(drain(inserted, &ins_rows));
 
-  // Copy-on-write: mutate a private copy and publish it at the end, so an
-  // in-flight serve keeps its consistent snapshot.
-  MatViewData next = *e->data;
+  // Splice in place when the entry is the answer's sole owner: every
+  // handle is copied out under mu_, so use_count() == 1 cannot grow while
+  // we hold it. Otherwise copy-on-write — mutate a private copy and publish
+  // it at the end, so an in-flight serve keeps its consistent snapshot.
+  std::shared_ptr<MatViewData> copy;
+  if (e->data.use_count() == 1) {
+    // Pairs with the release decrement of the last reader's handle.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  } else {
+    copy = std::make_shared<MatViewData>(*e->data);
+  }
+  MatViewData& next = copy != nullptr ? *copy : *e->data;
   std::map<std::string, int> comp_idx;
   for (size_t i = 0; i < next.outputs.size(); ++i) {
     if (!next.outputs[i].desc.is_connection) {
@@ -614,7 +687,7 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
     }
   }
 
-  e->data = std::make_shared<const MatViewData>(std::move(next));
+  if (copy != nullptr) e->data = std::move(copy);
   ++e->delta_applies;
   e->delta_rows += drained;
   e->refreshed_us = NowUs();
@@ -628,7 +701,7 @@ void MatViewStore::InvalidateTable(const std::string& table) {
   size_t before = entries_.size();
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second.tables.count(table) > 0) {
-      it = entries_.erase(it);
+      it = EraseLocked(it);
     } else {
       ++it;
     }
@@ -644,7 +717,7 @@ void MatViewStore::InvalidateView(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->second.name == name) {
-      entries_.erase(it);
+      EraseLocked(it);
       invalidations_->Increment();
       UpdateGaugesLocked();
       return;
@@ -658,6 +731,7 @@ void MatViewStore::Clear() {
     invalidations_->Increment(static_cast<int64_t>(entries_.size()));
   }
   entries_.clear();
+  aliases_.clear();
   UpdateGaugesLocked();
 }
 
@@ -665,10 +739,11 @@ std::vector<MatViewInfo> MatViewStore::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MatViewInfo> out;
   out.reserve(entries_.size());
-  for (const auto& [digest, e] : entries_) {
+  for (const auto& [key, e] : entries_) {
     MatViewInfo info;
     info.name = e.name;
-    info.digest = digest;
+    info.key = key;
+    info.digest = e.digest;
     info.text = e.text;
     info.pinned = e.pinned;
     info.fresh = e.fresh;
@@ -692,12 +767,12 @@ size_t MatViewStore::size() const {
 }
 
 Status MatViewStore::SaveRegistry(Env* env, const std::string& path) const {
-  std::string out = "XNFDB_MATVIEWS 1\n";
+  std::string out = "XNFDB_MATVIEWS 2\n";
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [digest, e] : entries_) {
-      out += obs::DigestHex(digest) + " " + (e.pinned ? "1" : "0") + " " +
-             e.name + "\t" + e.text + "\n";
+    for (const auto& [key, e] : entries_) {
+      out += obs::DigestHex(key) + " " + obs::DigestHex(e.digest) + " " +
+             (e.pinned ? "1" : "0") + " " + e.name + "\t" + e.text + "\n";
     }
   }
   return AtomicallyWriteFile(env, path, out);
@@ -708,32 +783,40 @@ Status MatViewStore::LoadRegistry(Env* env, const std::string& path) {
   XNFDB_RETURN_IF_ERROR(env->ReadFileToString(path, &content));
   std::istringstream in(content);
   std::string line;
-  if (!std::getline(in, line) || line.rfind("XNFDB_MATVIEWS", 0) != 0) {
+  int version = 0;
+  if (std::getline(in, line)) {
+    if (line == "XNFDB_MATVIEWS 1") version = 1;
+    if (line == "XNFDB_MATVIEWS 2") version = 2;
+  }
+  if (version == 0) {
     return Status::IoError("matview registry: bad header in " + path);
   }
+  // v2: "<key> <digest> <pinned> <name>\t<text>"; v1 lacks the key.
+  const size_t fields = version == 1 ? 3 : 4;
   std::lock_guard<std::mutex> lock(mu_);
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    size_t sp1 = line.find(' ');
-    size_t sp2 = line.find(' ', sp1 + 1);
-    size_t tab = line.find('\t', sp2 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos ||
-        tab == std::string::npos) {
+    size_t tab = line.find('\t');
+    std::vector<std::string> head;
+    std::istringstream head_in(line.substr(0, tab));
+    for (std::string f; head_in >> f;) head.push_back(f);
+    if (tab == std::string::npos || head.size() != fields) {
       return Status::IoError("matview registry: malformed line in " + path);
     }
-    uint64_t digest =
-        std::strtoull(line.substr(0, sp1).c_str(), nullptr, 16);
-    if (entries_.count(digest) > 0) continue;
-    if (entries_.size() >= config_.max_views) break;
     Entry e;
-    e.digest = digest;
-    e.pinned = line.substr(sp1 + 1, sp2 - sp1 - 1) == "1";
-    e.name = line.substr(sp2 + 1, tab - sp2 - 1);
+    e.digest = std::strtoull(head[fields - 3].c_str(), nullptr, 16);
+    e.key = version == 1 ? e.digest
+                         : std::strtoull(head[0].c_str(), nullptr, 16);
+    if (entries_.count(e.key) > 0) continue;
+    if (entries_.size() >= config_.max_views) break;
+    e.pinned = head[fields - 2] == "1";
+    e.name = head[fields - 1];
     e.text = line.substr(tab + 1);
     e.created_us = NowUs();
     // Loaded entries are stale by construction: the data refreshes on the
     // shape's next execution.
-    entries_.emplace(digest, std::move(e));
+    const uint64_t key = e.key;
+    entries_.emplace(key, std::move(e));
   }
   UpdateGaugesLocked();
   return Status::Ok();
@@ -741,7 +824,7 @@ Status MatViewStore::LoadRegistry(Env* env, const std::string& path) {
 
 void MatViewStore::UpdateGaugesLocked() {
   int64_t rows = 0, bytes = 0, stale = 0;
-  for (const auto& [digest, e] : entries_) {
+  for (const auto& [key, e] : entries_) {
     if (e.data != nullptr) {
       rows += e.data->total_rows;
       bytes += e.data->bytes;

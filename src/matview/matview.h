@@ -83,9 +83,10 @@ struct MatViewOutputData {
   std::map<std::vector<TupleId>, int64_t> conn_counts;
 };
 
-// Immutable-once-published snapshot of one materialization. Delta
-// maintenance copies, modifies and swaps the snapshot, so an in-flight
-// serve keeps reading the version it resolved.
+// One materialization's stored answer. A published snapshot that a reader
+// holds (a ServeHandle) is never modified: delta maintenance splices a
+// copy and swaps it in, so an in-flight serve keeps reading the version it
+// resolved. A snapshot no reader holds is spliced in place.
 struct MatViewData {
   std::vector<MatViewOutputData> outputs;
   int64_t total_rows = 0;  // stream items (component rows + connections)
@@ -95,7 +96,8 @@ struct MatViewData {
 // Point-in-time view of one entry (SYS$MATVIEWS, tests, the shell).
 struct MatViewInfo {
   std::string name;
-  uint64_t digest = 0;
+  uint64_t key = 0;     // digest + bound literal values (the store's key)
+  uint64_t digest = 0;  // bare statement digest (SYS$STATEMENTS joins on it)
   std::string text;
   bool pinned = false;
   bool fresh = false;
@@ -110,15 +112,29 @@ struct MatViewInfo {
   int64_t refreshed_us = 0;
 };
 
-// The store. Thread-safe (one mutex); entries are keyed by statement
-// digest (parser/fingerprint.h), so any compiled query whose normalized
-// text matches a materialized shape is served, whether it arrived as the
-// view name, the expanded body, or an equivalent literal binding.
+// The store. Thread-safe (one mutex); entries are keyed by the statement
+// key (parser/fingerprint.h): the digest extended over the bound literal
+// values. Any compiled query with the same normalized text *and* the same
+// literal values is served, whether it arrived as the view name or the
+// expanded body; `X > 1` and `X > 4` are different entries.
+//
+// Text aliases let a repeated statement skip compilation entirely: once a
+// compiled execution of a statement text was served from, or captured
+// into, an entry, that exact text maps to the entry's key. At most
+// kMaxAliasesPerEntry texts alias one entry (the oldest is dropped), so the
+// store holds at most max_views * kMaxAliasesPerEntry aliases. An alias
+// dies with its entry, and DropAliases (catalog DDL: a view name's meaning
+// can change) drops them all.
 class MatViewStore {
  public:
+  static constexpr size_t kMaxAliasesPerEntry = 4;
+
   struct ServeHandle {
     std::string name;
     std::shared_ptr<const MatViewData> data;
+    // The statement the entry answers: bare digest, normalized text.
+    uint64_t digest = 0;
+    std::string text;
   };
 
   MatViewStore(const MatViewConfig& config, obs::MetricsRegistry* metrics);
@@ -132,30 +148,43 @@ class MatViewStore {
   void set_enabled(bool on);
 
   // Serving: fills `*out` and returns true when a fresh materialization
-  // exists for `digest` (bumps the entry's and the store's hit counters).
+  // exists for `key` (bumps the entry's and the store's hit counters).
   // A stale or absent entry is a miss.
-  bool TryServe(uint64_t digest, ServeHandle* out);
+  bool TryServe(uint64_t key, ServeHandle* out);
   // TryServe without touching any counter (EXPLAIN provenance).
-  bool Peek(uint64_t digest, ServeHandle* out) const;
+  bool Peek(uint64_t key, ServeHandle* out) const;
+
+  // The compile-free fast path: TryServe for the entry `text` aliases.
+  // False (and no counter moves) when the store is disabled — the text is
+  // then not even hashed — when no alias exists, or when the entry is
+  // stale; the caller compiles, and its TryServe counts the miss.
+  bool TryServeText(const std::string& text, ServeHandle* out);
+  // Records that `text` compiles to `key`. Call only after a compiled
+  // execution of exactly this text was served from, or captured into, the
+  // entry for `key`; a no-op when no such entry exists.
+  void AddAlias(const std::string& text, uint64_t key);
+  // Drops every alias (catalog DDL); entries and their data stay.
+  void DropAliases();
 
   // Policy: should the Database capture (collect_dedup_counts + Store) the
   // execution about to run? True for a known-but-stale entry (refresh, also
   // the pinned case) or when the auto thresholds are met. `prior_calls` /
-  // `prior_avg_us` come from DigestStore::Stats for the digest.
-  bool WantCapture(uint64_t digest, int64_t prior_calls,
+  // `prior_avg_us` come from DigestStore::Stats for the statement's digest.
+  bool WantCapture(uint64_t key, int64_t prior_calls,
                    int64_t prior_avg_us) const;
 
-  // Stores one successful execution as the fresh materialization of
-  // `digest`. Analyzes `graph` for per-table delta eligibility and keeps it
-  // for delta re-planning. Refuses results over config().max_rows, shapes
-  // over virtual (sys$) tables, and new entries past max_views.
-  Status Store(uint64_t digest, const std::string& text,
+  // Stores one successful execution as the fresh materialization of `key`
+  // (the statement's `digest` and normalized `text` ride along). Analyzes
+  // `graph` for per-table delta eligibility and keeps it for delta
+  // re-planning. Refuses results over config().max_rows, shapes over
+  // virtual (sys$) tables, and new entries past max_views.
+  Status Store(uint64_t key, uint64_t digest, const std::string& text,
                const Catalog& catalog, std::shared_ptr<qgm::QueryGraph> graph,
                const QueryResult& result);
 
-  // MATERIALIZE <view>: creates (or re-points) the pinned entry for
-  // `digest`; the caller then executes the view query so Store() fills it.
-  Status Pin(const std::string& name, uint64_t digest,
+  // MATERIALIZE <view>: creates (or re-points) the pinned entry for `key`;
+  // the caller then executes the view query so Store() fills it.
+  Status Pin(const std::string& name, uint64_t key, uint64_t digest,
              const std::string& text);
   // DEMATERIALIZE <view> — false when no entry has that name.
   bool Dematerialize(const std::string& name);
@@ -163,7 +192,9 @@ class MatViewStore {
   // DML hook (called by Database after rows hit the base table; an UPDATE
   // passes both lists). Applies delta maintenance to every fresh entry
   // referencing `table`, or marks it stale when the shape is ineligible or
-  // the delta fails.
+  // the delta fails. A failed delta also releases the entry's stored
+  // answer (it may be half spliced): SYS$MATVIEWS shows ROWS and BYTES 0
+  // until the next matching execution refreshes it.
   void OnBaseTableDml(const Catalog& catalog, const std::string& table,
                       const std::vector<Tuple>& inserted,
                       const std::vector<Tuple>& deleted);
@@ -176,19 +207,26 @@ class MatViewStore {
   std::vector<MatViewInfo> Snapshot() const;
   size_t size() const;
 
-  // Registry persistence (name, digest, pinned flag and query text only —
-  // loaded entries come back stale and refresh on their next execution).
+  // Registry persistence (name, key, digest, pinned flag and query text
+  // only — loaded entries come back stale and refresh on their next
+  // execution; aliases are not persisted). Version-1 registries, written
+  // before keys carried literal values, load with key = digest.
   Status SaveRegistry(Env* env, const std::string& path) const;
   Status LoadRegistry(Env* env, const std::string& path);
 
  private:
   struct Entry {
     std::string name;
+    uint64_t key = 0;
     uint64_t digest = 0;
     std::string text;
     bool pinned = false;
     bool fresh = false;
-    std::shared_ptr<const MatViewData> data;
+    // Handed out as shared_ptr<const>; spliced in place only while this
+    // is the sole owner (use_count() == 1 under mu_).
+    std::shared_ptr<MatViewData> data;
+    std::vector<std::string> aliases;  // oldest first, at most
+                                       // kMaxAliasesPerEntry
     std::shared_ptr<qgm::QueryGraph> graph;
     // Delta-eligibility analysis (computed at Store time).
     std::set<std::string> tables;            // every referenced base table
@@ -203,6 +241,14 @@ class MatViewStore {
     int64_t refreshed_us = 0;
   };
 
+  using EntryMap = std::map<uint64_t, Entry>;
+
+  // Copies `e`'s answer and statement identity into `*out`.
+  static void Fill(const Entry& e, ServeHandle* out);
+  // Serves `e` into `*out` and counts the hit.
+  void HitLocked(Entry& e, ServeHandle* out);
+  // Erases an entry together with its aliases; returns the next iterator.
+  EntryMap::iterator EraseLocked(EntryMap::iterator it);
   // Runs both delta passes for one entry; any error means "mark stale".
   Status ApplyDeltaLocked(const Catalog& catalog, Entry* e,
                           const std::string& table,
@@ -213,7 +259,8 @@ class MatViewStore {
   MatViewConfig config_;
   mutable std::mutex mu_;
   bool enabled_ = true;
-  std::map<uint64_t, Entry> entries_;  // by digest
+  EntryMap entries_;  // by key
+  std::unordered_map<std::string, uint64_t> aliases_;  // statement text -> key
   obs::MetricsRegistry* metrics_;
   obs::Counter* hits_;
   obs::Counter* misses_;

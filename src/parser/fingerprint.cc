@@ -1,5 +1,7 @@
 #include "parser/fingerprint.h"
 
+#include <cstring>
+
 #include "common/str_util.h"
 
 namespace xnfdb {
@@ -10,45 +12,96 @@ using ast::Expr;
 using ast::SelectStmt;
 using ast::TableRef;
 
-std::string NormExpr(const Expr& e);
-std::string NormSelect(const SelectStmt& s);
+// The literal values bound into one statement, in normalization order,
+// encoded for hashing: a type tag, then the value's bytes (strings are
+// length-prefixed so adjacent literals cannot run together).
+class Bindings {
+ public:
+  void Add(const Value& v) {
+    switch (v.type()) {
+      case DataType::kNull:
+        bytes_ += 'N';
+        return;
+      case DataType::kInt:
+        AddTagged('I', v.AsInt());
+        return;
+      case DataType::kDouble: {
+        const double d = v.AsDouble();
+        int64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof(bits));
+        AddTagged('D', bits);
+        return;
+      }
+      case DataType::kBool:
+        AddTagged('B', v.AsBool() ? 1 : 0);
+        return;
+      case DataType::kString:
+        AddString('S', v.AsString());
+        return;
+    }
+  }
+  void AddString(char tag, const std::string& s) {
+    AddTagged(tag, static_cast<int64_t>(s.size()));
+    bytes_ += s;
+  }
+  void AddTagged(char tag, int64_t n) {
+    bytes_ += tag;
+    const uint64_t u = static_cast<uint64_t>(n);
+    for (int shift = 0; shift < 64; shift += 8) {
+      bytes_ += static_cast<char>((u >> shift) & 0xff);  // little-endian
+    }
+  }
+  const std::string& bytes() const { return bytes_; }
 
-std::string NormTableRef(const TableRef& t) {
-  std::string p = t.subquery ? "(" + NormSelect(*t.subquery) + ")" : t.table;
+ private:
+  std::string bytes_;
+};
+
+std::string NormExpr(const Expr& e, Bindings* b);
+std::string NormSelect(const SelectStmt& s, Bindings* b);
+
+std::string NormTableRef(const TableRef& t, Bindings* b) {
+  std::string p =
+      t.subquery ? "(" + NormSelect(*t.subquery, b) + ")" : t.table;
   if (!t.alias.empty()) p += " " + t.alias;
   return p;
 }
 
-std::string NormExpr(const Expr& e) {
+std::string NormExpr(const Expr& e, Bindings* b) {
   switch (e.kind) {
     case Expr::Kind::kLiteral:
+      b->Add(static_cast<const ast::Literal&>(e).value);
       return "?";
     case Expr::Kind::kColumnRef: {
       const auto& c = static_cast<const ast::ColumnRef&>(e);
       return c.qualifier.empty() ? c.column : c.qualifier + "." + c.column;
     }
     case Expr::Kind::kBinary: {
-      const auto& b = static_cast<const ast::Binary&>(e);
-      return "(" + NormExpr(*b.lhs) + " " + b.op + " " + NormExpr(*b.rhs) +
-             ")";
+      const auto& bin = static_cast<const ast::Binary&>(e);
+      // Operands normalize in textual order, so literals bind in order.
+      std::string lhs = NormExpr(*bin.lhs, b);
+      return "(" + lhs + " " + bin.op + " " + NormExpr(*bin.rhs, b) + ")";
     }
     case Expr::Kind::kUnary: {
       const auto& u = static_cast<const ast::Unary&>(e);
-      return u.op + " (" + NormExpr(*u.operand) + ")";
+      return u.op + " (" + NormExpr(*u.operand, b) + ")";
     }
     case Expr::Kind::kExists: {
       const auto& x = static_cast<const ast::Exists&>(e);
-      return "EXISTS (" + NormSelect(*x.subquery) + ")";
+      return "EXISTS (" + NormSelect(*x.subquery, b) + ")";
     }
     case Expr::Kind::kInSubquery: {
       const auto& in = static_cast<const ast::InSubquery&>(e);
-      return NormExpr(*in.operand) + (in.negated ? " NOT IN (" : " IN (") +
-             NormSelect(*in.subquery) + ")";
+      std::string operand = NormExpr(*in.operand, b);
+      return operand + (in.negated ? " NOT IN (" : " IN (") +
+             NormSelect(*in.subquery, b) + ")";
     }
     case Expr::Kind::kLike: {
       const auto& l = static_cast<const ast::Like&>(e);
       // The pattern is a constant: normalize like any other literal.
-      return NormExpr(*l.operand) + (l.negated ? " NOT LIKE ?" : " LIKE ?");
+      std::string operand = NormExpr(*l.operand, b);
+      b->AddString('L', l.pattern);
+      return operand + (l.negated ? " NOT LIKE ?" : " LIKE ?");
     }
     case Expr::Kind::kFuncCall: {
       const auto& f = static_cast<const ast::FuncCall&>(e);
@@ -56,7 +109,7 @@ std::string NormExpr(const Expr& e) {
       std::string s = f.name + "(";
       for (size_t i = 0; i < f.args.size(); ++i) {
         if (i > 0) s += ", ";
-        s += NormExpr(*f.args[i]);
+        s += NormExpr(*f.args[i], b);
       }
       return s + ")";
     }
@@ -64,7 +117,7 @@ std::string NormExpr(const Expr& e) {
   return "?";
 }
 
-std::string NormSelect(const SelectStmt& s) {
+std::string NormSelect(const SelectStmt& s, Bindings* b) {
   std::string out = "SELECT ";
   if (s.distinct) out += "DISTINCT ";
   std::vector<std::string> parts;
@@ -74,7 +127,7 @@ std::string NormSelect(const SelectStmt& s) {
                           ? "*"
                           : item.star_qualifier + ".*");
     } else {
-      std::string p = NormExpr(*item.expr);
+      std::string p = NormExpr(*item.expr, b);
       if (!item.alias.empty()) p += " AS " + item.alias;
       parts.push_back(std::move(p));
     }
@@ -82,35 +135,43 @@ std::string NormSelect(const SelectStmt& s) {
   out += Join(parts, ", ");
   if (!s.from.empty()) {
     parts.clear();
-    for (const TableRef& t : s.from) parts.push_back(NormTableRef(t));
+    for (const TableRef& t : s.from) parts.push_back(NormTableRef(t, b));
     out += " FROM " + Join(parts, ", ");
   }
-  if (s.where) out += " WHERE " + NormExpr(*s.where);
+  if (s.where) out += " WHERE " + NormExpr(*s.where, b);
   if (!s.group_by.empty()) {
     parts.clear();
-    for (const ast::ExprPtr& g : s.group_by) parts.push_back(NormExpr(*g));
+    for (const ast::ExprPtr& g : s.group_by) {
+      parts.push_back(NormExpr(*g, b));
+    }
     out += " GROUP BY " + Join(parts, ", ");
   }
-  if (s.having) out += " HAVING " + NormExpr(*s.having);
+  if (s.having) out += " HAVING " + NormExpr(*s.having, b);
   if (!s.order_by.empty()) {
     parts.clear();
     for (const ast::OrderItem& o : s.order_by) {
-      parts.push_back(NormExpr(*o.expr) + (o.descending ? " DESC" : ""));
+      parts.push_back(NormExpr(*o.expr, b) + (o.descending ? " DESC" : ""));
     }
     out += " ORDER BY " + Join(parts, ", ");
   }
   // LIMIT/OFFSET constants are normalized like literals: paging through a
   // result set is one shape, not one per page.
-  if (s.limit >= 0) out += " LIMIT ?";
-  if (s.offset > 0) out += " OFFSET ?";
+  if (s.limit >= 0) {
+    out += " LIMIT ?";
+    b->AddTagged('I', s.limit);
+  }
+  if (s.offset > 0) {
+    out += " OFFSET ?";
+    b->AddTagged('I', s.offset);
+  }
   if (s.union_next) {
     out += s.union_all ? " UNION ALL " : " UNION ";
-    out += NormSelect(*s.union_next);
+    out += NormSelect(*s.union_next, b);
   }
   return out;
 }
 
-std::string NormXnf(const ast::XnfQuery& q) {
+std::string NormXnf(const ast::XnfQuery& q, Bindings* b) {
   std::string out = "OUT OF ";
   std::vector<std::string> parts;
   for (const ast::XnfDef& def : q.defs) {
@@ -118,7 +179,7 @@ std::string NormXnf(const ast::XnfQuery& q) {
     if (def.free_reachability) p += "FREE ";
     if (def.kind == ast::XnfDef::Kind::kTable) {
       if (def.select) {
-        p += "(" + NormSelect(*def.select) + ")";
+        p += "(" + NormSelect(*def.select, b) + ")";
       } else if (!def.view_ref.empty()) {
         p += def.view_ref + "." + def.view_component;
       } else {
@@ -130,11 +191,11 @@ std::string NormXnf(const ast::XnfQuery& q) {
       if (!def.relate.using_tables.empty()) {
         std::vector<std::string> using_parts;
         for (const TableRef& t : def.relate.using_tables) {
-          using_parts.push_back(NormTableRef(t));
+          using_parts.push_back(NormTableRef(t, b));
         }
         p += " USING " + Join(using_parts, ", ");
       }
-      if (def.relate.where) p += " WHERE " + NormExpr(*def.relate.where);
+      if (def.relate.where) p += " WHERE " + NormExpr(*def.relate.where, b);
       p += ")";
     }
     parts.push_back(std::move(p));
@@ -155,13 +216,14 @@ std::string NormXnf(const ast::XnfQuery& q) {
   return out;
 }
 
-std::string NormStatement(const ast::Statement& stmt) {
+std::string NormStatement(const ast::Statement& stmt, Bindings* b) {
   using Kind = ast::Statement::Kind;
   switch (stmt.kind) {
     case Kind::kSelect:
-      return NormSelect(*static_cast<const ast::SelectStatement&>(stmt).select);
+      return NormSelect(*static_cast<const ast::SelectStatement&>(stmt).select,
+                        b);
     case Kind::kXnfQuery:
-      return NormXnf(*static_cast<const ast::XnfStatement&>(stmt).query);
+      return NormXnf(*static_cast<const ast::XnfStatement&>(stmt).query, b);
     case Kind::kCreateTable: {
       const auto& s = static_cast<const ast::CreateTableStatement&>(stmt);
       std::string out = "CREATE TABLE " + s.name + " (";
@@ -174,7 +236,8 @@ std::string NormStatement(const ast::Statement& stmt) {
     }
     case Kind::kCreateView: {
       const auto& s = static_cast<const ast::CreateViewStatement&>(stmt);
-      std::string body = s.is_xnf ? NormXnf(*s.xnf) : NormSelect(*s.select);
+      std::string body =
+          s.is_xnf ? NormXnf(*s.xnf, b) : NormSelect(*s.select, b);
       return "CREATE VIEW " + s.name + " AS " + body;
     }
     case Kind::kCreateIndex: {
@@ -199,16 +262,16 @@ std::string NormStatement(const ast::Statement& stmt) {
       std::string out = "UPDATE " + s.table + " SET ";
       std::vector<std::string> parts;
       for (const auto& [col, expr] : s.assignments) {
-        parts.push_back(col + " = " + NormExpr(*expr));
+        parts.push_back(col + " = " + NormExpr(*expr, b));
       }
       out += Join(parts, ", ");
-      if (s.where) out += " WHERE " + NormExpr(*s.where);
+      if (s.where) out += " WHERE " + NormExpr(*s.where, b);
       return out;
     }
     case Kind::kDelete: {
       const auto& s = static_cast<const ast::DeleteStatement&>(stmt);
       std::string out = "DELETE FROM " + s.table;
-      if (s.where) out += " WHERE " + NormExpr(*s.where);
+      if (s.where) out += " WHERE " + NormExpr(*s.where, b);
       return out;
     }
     case Kind::kDropTable:
@@ -225,17 +288,7 @@ std::string NormStatement(const ast::Statement& stmt) {
   return "?";
 }
 
-Fingerprint Finish(std::string text) {
-  Fingerprint fp;
-  fp.digest = FingerprintHash(text);
-  fp.text = std::move(text);
-  return fp;
-}
-
-}  // namespace
-
-uint64_t FingerprintHash(const std::string& s) {
-  uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit offset basis
+uint64_t FnvExtend(uint64_t h, const std::string& s) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
@@ -243,16 +296,36 @@ uint64_t FingerprintHash(const std::string& s) {
   return h;
 }
 
+Fingerprint Finish(std::string text, const Bindings& bindings) {
+  Fingerprint fp;
+  fp.digest = FingerprintHash(text);
+  fp.key = FnvExtend(fp.digest, bindings.bytes());
+  fp.text = std::move(text);
+  return fp;
+}
+
+}  // namespace
+
+uint64_t FingerprintHash(const std::string& s) {
+  return FnvExtend(14695981039346656037ull, s);  // FNV-1a 64 offset basis
+}
+
 Fingerprint FingerprintSelect(const ast::SelectStmt& select) {
-  return Finish(NormSelect(select));
+  Bindings b;
+  std::string text = NormSelect(select, &b);
+  return Finish(std::move(text), b);
 }
 
 Fingerprint FingerprintXnf(const ast::XnfQuery& query) {
-  return Finish(NormXnf(query));
+  Bindings b;
+  std::string text = NormXnf(query, &b);
+  return Finish(std::move(text), b);
 }
 
 Fingerprint FingerprintStatement(const ast::Statement& stmt) {
-  return Finish(NormStatement(stmt));
+  Bindings b;
+  std::string text = NormStatement(stmt, &b);
+  return Finish(std::move(text), b);
 }
 
 }  // namespace xnfdb

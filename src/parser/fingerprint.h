@@ -10,6 +10,10 @@
 //
 // The digest keys the per-statement-digest store (obs/digest_store.h)
 // exposed through `sys$statements` and the other per-digest system views.
+// The key extends the digest over the literal values the normalization
+// replaced (in order), so it tells bindings of one shape apart: stored
+// answers (matview/matview.h) are keyed by it, because `X > 1` and `X > 4`
+// share a shape but not an answer.
 
 #ifndef XNFDB_PARSER_FINGERPRINT_H_
 #define XNFDB_PARSER_FINGERPRINT_H_
@@ -24,6 +28,9 @@ namespace xnfdb {
 struct Fingerprint {
   std::string text;     // normalized statement text
   uint64_t digest = 0;  // FNV-1a of `text`
+  // FNV-1a of `text` followed by the bound literal values, each encoded as
+  // a type tag plus its bytes; equals `digest` when there are none.
+  uint64_t key = 0;
 };
 
 // FNV-1a over `s`; exposed for tests and external digest comparisons.

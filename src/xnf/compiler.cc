@@ -27,6 +27,7 @@ Result<CompiledQuery> CompileSelect(const Catalog& catalog,
     Fingerprint fp = FingerprintSelect(select);
     out.normalized_text = std::move(fp.text);
     out.digest = fp.digest;
+    out.key = fp.key;
   }
   {
     obs::PhaseScope phase(options.tracer, options.metrics, "semantics");
@@ -50,6 +51,7 @@ Result<CompiledQuery> CompileXnf(const Catalog& catalog,
     Fingerprint fp = FingerprintXnf(query);
     out.normalized_text = std::move(fp.text);
     out.digest = fp.digest;
+    out.key = fp.key;
   }
   {
     obs::PhaseScope phase(options.tracer, options.metrics, "semantics");

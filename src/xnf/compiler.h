@@ -42,6 +42,8 @@ struct CompiledQuery {
   // per-statement statistics behind sys$statements and the slow-query log.
   std::string normalized_text;
   uint64_t digest = 0;
+  // The digest extended over the bound literal values: the matview key.
+  uint64_t key = 0;
 };
 
 // Compiles a plain SQL SELECT.

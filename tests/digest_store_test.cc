@@ -68,6 +68,31 @@ TEST(FingerprintTest, XnfQueriesNormalizeLiteralsToo) {
   EXPECT_EQ(a.text.find("'ARC'"), std::string::npos) << a.text;
 }
 
+TEST(FingerprintTest, KeyTellsLiteralBindingsApart) {
+  Fingerprint a = FingerprintText("SELECT A FROM T WHERE B = 5");
+  Fingerprint b = FingerprintText("SELECT A FROM T WHERE B = 99");
+  Fingerprint a2 = FingerprintText("SELECT A FROM T  WHERE B=5");
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_NE(a.key, b.key);
+  EXPECT_EQ(a.key, a2.key);
+  // Types, order, LIMIT/OFFSET values, LIKE patterns and string
+  // boundaries all bind.
+  EXPECT_NE(FingerprintText("SELECT A FROM T WHERE B = 5").key,
+            FingerprintText("SELECT A FROM T WHERE B = 5.0").key);
+  EXPECT_NE(FingerprintText("SELECT A FROM T WHERE B = 1 AND C = 2").key,
+            FingerprintText("SELECT A FROM T WHERE B = 2 AND C = 1").key);
+  EXPECT_NE(FingerprintText("SELECT A FROM T ORDER BY A LIMIT 5").key,
+            FingerprintText("SELECT A FROM T ORDER BY A LIMIT 6").key);
+  EXPECT_NE(FingerprintText("SELECT A FROM T WHERE B LIKE 'a%'").key,
+            FingerprintText("SELECT A FROM T WHERE B LIKE 'b%'").key);
+  EXPECT_NE(
+      FingerprintText("SELECT A FROM T WHERE B = 'ab' AND C = 'c'").key,
+      FingerprintText("SELECT A FROM T WHERE B = 'a' AND C = 'bc'").key);
+  // A statement without literals keys by its digest.
+  Fingerprint bare = FingerprintText("SELECT A FROM T");
+  EXPECT_EQ(bare.key, bare.digest);
+}
+
 TEST(FingerprintTest, HashIsStableFnv1a) {
   // FNV-1a 64-bit pinned values: the digest is part of the sys$statements
   // surface (DIGEST column, stmt.<digest>.us histogram names), so it must
