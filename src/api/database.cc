@@ -23,6 +23,11 @@ namespace xnfdb {
 
 namespace {
 
+// EXPLAIN's strategy line for recursive COs (xnf/fixpoint.h).
+constexpr const char* kFixpointStrategy =
+    "strategy: recursive CO — semi-naive fixpoint from the roots, one delta "
+    "plan per relationship\n";
+
 // True when `e` has a top-level conjunct `col = non-NULL literal` on a
 // hash-indexed column of `table`; `*bucket` receives that key's index
 // bucket (null when no row has the key).
@@ -453,13 +458,11 @@ Result<QueryResult> Database::ExecuteGoverned(
           (result.ok() ? "ok" : TerminationKeyword(result.status())));
   if (!result.ok()) return result;
   // Always-on capture: one store write per successful execution carries the
-  // profile and the plan-quality feedback together (the fixpoint path has
-  // no operator tree, so only the profile's summary fields are meaningful
-  // there and it has no plan to record).
+  // profile and the plan-quality feedback together (the fixpoint path
+  // profiles its delta plans but records no plan shape).
   QueryResult& r = result.value();
   const int64_t execute_us = NowUs() - exec_t0;
-  const bool record_plan = eo.collect_feedback && !compiled.needs_fixpoint &&
-                           !r.plan_shape.empty();
+  const bool record_plan = eo.collect_feedback && !r.plan_shape.empty();
   if (!eo.collect_profile && !record_plan) return result;
   if (eo.collect_profile) {
     r.profile.wall_us = execute_us;
@@ -608,8 +611,9 @@ Status Database::RunMaterialize(const ast::MaterializeStatement& stmt,
       CompileQueryString(catalog_, stmt.name, WithObs(CompileOptions())));
   if (compiled.needs_fixpoint) {
     return Status::Unsupported(
-        "recursive COs cannot be materialized (no finite answer set to "
-        "store)");
+        "recursive COs cannot be materialized (stored answers are kept "
+        "fresh by delta maintenance, which does not run through "
+        "recursion)");
   }
   XNFDB_RETURN_IF_ERROR(
       matviews_.Pin(stmt.name, compiled.key, compiled.digest,
@@ -865,10 +869,11 @@ Result<std::string> Database::ExplainCompiled(const CompiledQuery& compiled,
   OpCounts counts = CountOps(*compiled.graph);
   out += "operations: " + counts.ToString() + "\n";
   if (compiled.needs_fixpoint) {
-    out += "strategy: recursive CO — fixpoint evaluator over the XNF "
-           "graph\n";
-    out += compiled.graph->ToString();
-    return out;
+    out += kFixpointStrategy;
+    XNFDB_ASSIGN_OR_RETURN(
+        std::string plans,
+        ExplainXnfFixpoint(catalog_, *compiled.graph, eopts.plan));
+    return out + plans;
   }
   // Matview provenance: a fresh materialization of this key means the
   // query would not run its join trees at all — show the serve plan.
@@ -926,18 +931,17 @@ Result<std::string> Database::Explain(const std::string& text,
     XNFDB_ASSIGN_OR_RETURN(std::string body, ExplainCompiled(compiled, eopts));
     return out + body;
   }
-  if (compiled.needs_fixpoint) {
-    return Status::Unsupported(
-        "EXPLAIN ANALYZE is not supported for recursive COs (the fixpoint "
-        "evaluator has no operator tree)");
-  }
   ExecOptions eo = WithObs(eopts);
   eo.analyze = true;
-  XNFDB_ASSIGN_OR_RETURN(QueryResult result,
-                         ExecuteGraph(catalog_, *compiled.graph, eo));
+  XNFDB_ASSIGN_OR_RETURN(
+      QueryResult result,
+      compiled.needs_fixpoint
+          ? ExecuteXnfFixpoint(catalog_, *compiled.graph, eo)
+          : ExecuteGraph(catalog_, *compiled.graph, eo));
   out += "rewrite: " + compiled.rewrite_stats.ToString() + "\n";
   OpCounts counts = CountOps(*compiled.graph);
   out += "operations: " + counts.ToString() + "\n";
+  if (compiled.needs_fixpoint) out += kFixpointStrategy;
   for (const std::string& plan : result.plan_texts) out += plan;
   out += "stats: " + result.stats.ToString() + "\n";
   // Cardinality-feedback footer: the operator whose estimate was furthest

@@ -135,25 +135,6 @@ Status PullRows(Operator* op, int batch_size, StatCounter* batches_emitted,
   return Status::Ok();
 }
 
-// Adds one finished operator tree's actuals into `agg`, keyed by operator
-// class (Kind). Inclusive time is the node's own measurement; self time
-// subtracts the children's inclusive time, clamped at zero.
-void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg) {
-  const Operator::Actuals& a = op->actuals();
-  int64_t child_ns = 0;
-  for (Operator* c : op->Children()) {
-    child_ns += c->actuals().ns;
-    AccumulateTree(c, agg);
-  }
-  obs::OpProfile& p = (*agg)[op->Kind()];
-  p.op = op->Kind();
-  p.loops += a.loops;
-  p.rows += a.rows;
-  p.batches += a.batches;
-  p.incl_us += a.ns / 1000;
-  p.self_us += std::max<int64_t>(0, a.ns - child_ns) / 1000;
-}
-
 // Runs `task(i)` for i in [0, n) on up to `workers` threads. Tasks must be
 // independent. Returns the first failure, if any.
 Status RunParallel(int n, int workers,
@@ -185,6 +166,22 @@ Status RunParallel(int n, int workers,
 }
 
 }  // namespace
+
+void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg) {
+  const Operator::Actuals& a = op->actuals();
+  int64_t child_ns = 0;
+  for (Operator* c : op->Children()) {
+    child_ns += c->actuals().ns;
+    AccumulateTree(c, agg);
+  }
+  obs::OpProfile& p = (*agg)[op->Kind()];
+  p.op = op->Kind();
+  p.loops += a.loops;
+  p.rows += a.rows;
+  p.batches += a.batches;
+  p.incl_us += a.ns / 1000;
+  p.self_us += std::max<int64_t>(0, a.ns - child_ns) / 1000;
+}
 
 Result<QueryResult> ExecuteGraph(const Catalog& catalog,
                                  const qgm::QueryGraph& graph,

@@ -153,6 +153,12 @@ struct ExecOptions {
   std::shared_ptr<QueryContext> context;
 };
 
+// Adds one finished operator tree's actuals into `agg` (the always-on
+// profile), keyed by operator class (Kind). Inclusive time is the node's
+// own measurement; self time subtracts the children's inclusive time,
+// clamped at zero.
+void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg);
+
 // Executes a graph whose XNF box (if any) has already been rewritten away.
 Result<QueryResult> ExecuteGraph(const Catalog& catalog,
                                  const qgm::QueryGraph& graph,

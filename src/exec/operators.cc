@@ -34,6 +34,7 @@ void ExecStats::PublishTo(obs::MetricsRegistry* registry) const {
   registry->GetCounter("exec.operators_created")->Increment(operators_created);
   registry->GetCounter("exec.batches_emitted")->Increment(batches_emitted);
   registry->GetCounter("exec.morsels_claimed")->Increment(morsels_claimed);
+  registry->GetCounter("exec.fixpoint_rounds")->Increment(fixpoint_rounds);
   registry->GetCounter("exec.batches_scan")->Increment(batches_scan);
   registry->GetCounter("exec.batches_spool")->Increment(batches_spool);
   registry->GetCounter("exec.batches_filter")->Increment(batches_filter);
@@ -544,7 +545,6 @@ Result<bool> LimitOp::NextImpl(Tuple* row) {
 
 Status HashJoinOp::OpenImpl() {
   XNFDB_RETURN_IF_ERROR(left_->Open());
-  XNFDB_RETURN_IF_ERROR(right_->Open());
   // Resolve all-ColRef probe keys to flat column offsets once, so per-row
   // probing indexes directly instead of walking the expression tree.
   left_key_cols_.clear();
@@ -557,6 +557,10 @@ Status HashJoinOp::OpenImpl() {
     left_key_cols_.push_back(left_layout_.Offset(k->quant_id) +
                              static_cast<size_t>(k->column));
   }
+  matches_ = nullptr;
+  match_pos_ = 0;
+  if (keep_build_ && built_) return Status::Ok();
+  XNFDB_RETURN_IF_ERROR(right_->Open());
   build_.clear();
   Tuple row;
   while (true) {
@@ -578,8 +582,10 @@ Status HashJoinOp::OpenImpl() {
     build_[std::move(key)].push_back(std::move(row));
     row = Tuple();
   }
-  matches_ = nullptr;
-  match_pos_ = 0;
+  if (keep_build_) {
+    right_->Close();
+    built_ = true;
+  }
   return Status::Ok();
 }
 
@@ -748,6 +754,9 @@ Result<bool> IndexJoinOp::NextBatchImpl(TupleBatch* out) {
 
 Status NLJoinOp::OpenImpl() {
   XNFDB_RETURN_IF_ERROR(left_->Open());
+  left_valid_ = false;
+  inner_pos_ = 0;
+  if (keep_build_ && built_) return Status::Ok();
   XNFDB_RETURN_IF_ERROR(right_->Open());
   inner_.clear();
   Tuple in;
@@ -760,8 +769,10 @@ Status NLJoinOp::OpenImpl() {
     inner_.push_back(std::move(in));
     in = Tuple();
   }
-  left_valid_ = false;
-  inner_pos_ = 0;
+  if (keep_build_) {
+    right_->Close();
+    built_ = true;
+  }
   return Status::Ok();
 }
 

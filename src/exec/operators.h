@@ -79,6 +79,7 @@ struct ExecStats {
   StatCounter operators_created;
   StatCounter batches_emitted;    // batches delivered into output streams
   StatCounter morsels_claimed;    // scan morsels claimed by workers
+  StatCounter fixpoint_rounds;    // semi-naive rounds of recursive COs
   // Per-operator-kind native batch counts (vectorization visibility).
   StatCounter batches_scan;
   StatCounter batches_spool;
@@ -449,6 +450,27 @@ class MaterializedOp : public Operator {
   size_t pos_ = 0;
 };
 
+// Reader over the frontier of a recursive-CO delta plan (xnf/fixpoint.cc):
+// the rows of `component` reached in the previous round. The owner refills
+// the buffer between rounds and re-opens the plan; Open rewinds.
+class FrontierOp : public MaterializedOp {
+ public:
+  FrontierOp(std::shared_ptr<const std::vector<Tuple>> rows,
+             std::string component)
+      : MaterializedOp(std::move(rows), nullptr),
+        component_(std::move(component)) {}
+
+  const char* Kind() const override { return "frontier"; }
+
+ protected:
+  void ExplainImpl(int depth, std::string* out) const override {
+    SelfLine(depth, "Frontier(" + component_ + ")", out);
+  }
+
+ private:
+  std::string component_;
+};
+
 // --- row transforms ----------------------------------------------------------
 
 class FilterOp : public Operator {
@@ -611,6 +633,11 @@ class HashJoinOp : public Operator {
   ScanOp* MorselDriver() override { return left_->MorselDriver(); }
   const char* Kind() const override { return "hash_join"; }
 
+  // The build side does not depend on what the probe side reads: every
+  // re-open after the first keeps the hash table instead of re-reading the
+  // right input (delta plans re-opened on each fixpoint round).
+  void KeepBuild() { keep_build_ = true; }
+
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(Tuple* row) override;
@@ -619,7 +646,7 @@ class HashJoinOp : public Operator {
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {
     left_->Close();
-    right_->Close();
+    if (!keep_build_) right_->Close();
   }
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -640,6 +667,8 @@ class HashJoinOp : public Operator {
   Layout right_layout_;
   Layout combined_layout_;
   ExecStats* stats_;
+  bool keep_build_ = false;
+  bool built_ = false;  // build_ holds the right input (keep_build_ only)
 
   std::unordered_map<Tuple, std::vector<Tuple>, TupleHash, TupleEq> build_;
   // All-ColRef probe keys resolve to flat column offsets once at Open.
@@ -732,12 +761,15 @@ class NLJoinOp : public Operator {
   }
   const char* Kind() const override { return "nl_join"; }
 
+  // As HashJoinOp::KeepBuild: re-opens keep the materialized inner side.
+  void KeepBuild() { keep_build_ = true; }
+
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(Tuple* row) override;
   void CloseImpl() override {
     left_->Close();
-    right_->Close();
+    if (!keep_build_) right_->Close();
   }
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -748,6 +780,8 @@ class NLJoinOp : public Operator {
   std::vector<const qgm::Expr*> preds_;
   Layout combined_layout_;
   ExecStats* stats_;
+  bool keep_build_ = false;
+  bool built_ = false;  // inner_ holds the right input (keep_build_ only)
 
   std::vector<Tuple> inner_;
   Tuple current_left_;

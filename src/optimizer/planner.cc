@@ -128,6 +128,12 @@ Table* Planner::OverrideFor(const std::string& name) const {
   return it == options_.table_overrides->end() ? nullptr : it->second;
 }
 
+const QuantOverride* Planner::QuantOverrideFor(int quant_id) const {
+  if (options_.quant_overrides == nullptr) return nullptr;
+  auto it = options_.quant_overrides->find(quant_id);
+  return it == options_.quant_overrides->end() ? nullptr : &it->second;
+}
+
 const Box* Planner::PassThroughBase(int box_id, std::vector<int>* cols) const {
   const Box* box = graph_->box(box_id);
   cols->clear();
@@ -219,10 +225,15 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
   // — computed up front, before access-path selection consumes predicates.
   const double total = QuantCard(q, pushed);
   OperatorPtr op;
+  if (const QuantOverride* sub = QuantOverrideFor(q.id)) {
+    op = std::make_unique<FrontierOp>(sub->rows, sub->component);
+    op->SetEstimatedRows(sub->est_rows);
+  }
   // Access-path selection: `col = literal` on an indexed base-table column.
   // Virtual tables (sys$ views) have no indexes: HasTable excludes them.
   // Overridden (delta) tables have no indexes either: OverrideFor excludes.
-  if (options_.use_indexes && source->kind == BoxKind::kBaseTable &&
+  if (op == nullptr && options_.use_indexes &&
+      source->kind == BoxKind::kBaseTable &&
       OverrideFor(source->table_name) == nullptr &&
       catalog_->HasTable(source->table_name)) {
     XNFDB_ASSIGN_OR_RETURN(Table * table,
@@ -464,7 +475,8 @@ double Planner::EstimateCard(int box_id) {
 
 double Planner::QuantCard(const Quantifier& q,
                           const std::vector<const Expr*>& pushed) {
-  double card = EstimateCard(q.box_id);
+  const QuantOverride* sub = QuantOverrideFor(q.id);
+  double card = sub != nullptr ? sub->est_rows : EstimateCard(q.box_id);
   for (const Expr* p : pushed) card *= PredSelectivity(*p);
   return std::max(card, 1.0);
 }
@@ -528,7 +540,14 @@ Result<OperatorPtr> Planner::BuildJoinTree(
   };
 
   std::set<int> joined;
-  int first = cheapest(false, joined);
+  // A substituted quantifier (a delta plan's frontier) drives the tree.
+  int first = -1;
+  for (size_t i = 0; i < remaining.size() && first < 0; ++i) {
+    if (QuantOverrideFor(remaining[i]->id) != nullptr) {
+      first = static_cast<int>(i);
+    }
+  }
+  if (first < 0) first = cheapest(false, joined);
   const Quantifier* q0 = remaining[first];
   remaining.erase(remaining.begin() + first);
   XNFDB_ASSIGN_OR_RETURN(OperatorPtr current, QuantSource(*q0, pushed[q0->id]));
@@ -607,15 +626,24 @@ Result<OperatorPtr> Planner::BuildJoinTree(
       }
       if (!is_equi) residual.push_back(p);
     }
+    // Delta plans are re-opened per fixpoint round; their inner sides never
+    // read the frontier (it is joined first), so each is built once.
+    const bool keep_build = options_.quant_overrides != nullptr &&
+                            QuantOverrideFor(q->id) == nullptr;
     if (!left_keys.empty()) {
-      current = std::make_unique<HashJoinOp>(
+      auto join = std::make_unique<HashJoinOp>(
           std::move(current), std::move(inner), std::move(left_keys),
           std::move(right_keys), std::move(residual), current_layout,
           inner_layout, combined, stats_);
+      if (keep_build) join->KeepBuild();
+      current = std::move(join);
     } else {
-      current = std::make_unique<NLJoinOp>(std::move(current),
-                                           std::move(inner), std::move(residual),
-                                           combined, stats_);
+      auto join = std::make_unique<NLJoinOp>(std::move(current),
+                                             std::move(inner),
+                                             std::move(residual), combined,
+                                             stats_);
+      if (keep_build) join->KeepBuild();
+      current = std::move(join);
     }
     current->SetEstimatedRows(card);
     current_layout = combined;

@@ -35,6 +35,15 @@
 
 namespace xnfdb {
 
+// A quantifier-level source substitution (PlanOptions::quant_overrides).
+struct QuantOverride {
+  // Read by the quantifier in place of the box it ranges over; the owner
+  // may refill it between re-opens of the compiled plan.
+  std::shared_ptr<const std::vector<Tuple>> rows;
+  std::string component;  // EXPLAIN label: Frontier(<component>)
+  double est_rows = 1.0;  // the planner's cardinality for the quantifier
+};
+
 struct PlanOptions {
   bool use_indexes = true;    // false => no index scans or index joins
   bool use_hash_join = true;  // false => nested-loop joins only
@@ -57,6 +66,14 @@ struct PlanOptions {
   // one. Overridden tables never take index access paths — delta tables
   // carry no indexes. Not owned; must outlive the planner.
   const std::map<std::string, Table*>* table_overrides = nullptr;
+  // Quantifier substitution (recursive-CO delta plans, xnf/fixpoint.cc),
+  // keyed by quantifier id: the quantifier reads the mapped rows instead of
+  // its box. A table override cannot express this — a self-relationship
+  // ranges over one box from both sides. A substituted quantifier is
+  // joined first, and every hash/nested-loop join above it builds its
+  // (substitution-free) inner side once and keeps it across re-opens. Not
+  // owned; must outlive the planner.
+  const std::map<int, QuantOverride>* quant_overrides = nullptr;
 };
 
 // Compiles boxes of one QueryGraph into operators. The planner owns the
@@ -126,6 +143,9 @@ class Planner {
 
   // The override table for `name`, or nullptr (options_.table_overrides).
   Table* OverrideFor(const std::string& name) const;
+  // The substitution for quantifier `quant_id`, or nullptr
+  // (options_.quant_overrides).
+  const QuantOverride* QuantOverrideFor(int quant_id) const;
   // The table whose statistics cost the stream `quant_id` ranges over: the
   // delta override when one is installed, else the catalog base table;
   // nullptr when the quantifier does not range over a base table.

@@ -1,11 +1,15 @@
 #include "xnf/fixpoint.h"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <map>
-#include <set>
+#include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "exec/expr_eval.h"
+#include "exec/batch.h"
 #include "optimizer/planner.h"
 
 namespace xnfdb {
@@ -16,6 +20,8 @@ using qgm::Box;
 using qgm::BoxKind;
 using qgm::QueryGraph;
 using qgm::XnfComponent;
+
+constexpr size_t kNpos = static_cast<size_t>(-1);
 
 Result<const Box*> FindXnf(const QueryGraph& graph) {
   const Box* found = nullptr;
@@ -35,30 +41,180 @@ Result<const Box*> FindXnf(const QueryGraph& graph) {
   return found;
 }
 
-// Value-interned candidate rows of one component.
-struct Candidates {
-  std::vector<Tuple> rows;
-  std::unordered_map<Tuple, size_t, TupleHash, TupleEq> index;
-  std::vector<bool> reachable;
-
-  size_t Intern(const Tuple& row) {
-    auto [it, inserted] = index.emplace(row, rows.size());
-    if (inserted) {
-      rows.push_back(row);
-      reachable.push_back(false);
-    }
-    return it->second;
-  }
-  // Index of `row` or npos.
-  size_t Find(const Tuple& row) const {
-    auto it = index.find(row);
-    return it == index.end() ? static_cast<size_t>(-1) : it->second;
-  }
+// One partner's columns inside a delta-plan row (or a whole row).
+struct Slice {
+  Value* data;
+  size_t size;
 };
 
-// One candidate connection: partner row indexes, parent first.
-struct CandidateConnection {
-  std::vector<size_t> partners;
+// The reached rows of one component, interned by value: each distinct row
+// is stored once, at its discovery position. The index holds positions,
+// hashed and compared by the rows they name, and is probed with a Slice
+// directly, so a row already reached costs no copy.
+class Extent {
+ public:
+  Extent() : index_(0, RowKey{&rows_}, RowKey{&rows_}) {}
+  Extent(const Extent&) = delete;
+  Extent& operator=(const Extent&) = delete;
+
+  // The position of the row `s` holds, and whether it is new. A new row
+  // is moved out of `s`.
+  std::pair<size_t, bool> Intern(Slice s) {
+    auto it = index_.find(s);
+    if (it != index_.end()) return {*it, false};
+    rows_.emplace_back(std::make_move_iterator(s.data),
+                       std::make_move_iterator(s.data + s.size));
+    index_.insert(rows_.size() - 1);
+    return {rows_.size() - 1, true};
+  }
+  size_t Find(Slice s) const {
+    auto it = index_.find(s);
+    return it == index_.end() ? kNpos : *it;
+  }
+
+  size_t size() const { return rows_.size(); }
+  Tuple& row(size_t i) { return rows_[i]; }
+
+ private:
+  // Hash and NULL-safe equality (as TupleHash/TupleEq) of positions and
+  // slices alike.
+  struct RowKey {
+    using is_transparent = void;
+    const std::vector<Tuple>* rows;
+    Slice Get(Slice s) const { return s; }
+    Slice Get(size_t i) const {
+      const Tuple& t = (*rows)[i];
+      return {const_cast<Value*>(t.data()), t.size()};
+    }
+    template <typename K>
+    size_t operator()(const K& k) const {
+      Slice s = Get(k);
+      size_t h = 14695981039346656037ULL;
+      for (size_t i = 0; i < s.size; ++i) {
+        h ^= s.data[i].Hash();
+        h *= 1099511628211ULL;
+      }
+      return h;
+    }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      Slice x = Get(a), y = Get(b);
+      if (x.size != y.size) return false;
+      for (size_t i = 0; i < x.size; ++i) {
+        if (x.data[i].is_null() != y.data[i].is_null()) return false;
+        if (!x.data[i].is_null() && !(x.data[i] == y.data[i])) return false;
+      }
+      return true;
+    }
+  };
+
+  std::vector<Tuple> rows_;
+  std::unordered_set<size_t, RowKey, RowKey> index_;
+};
+
+// One component's state across the rounds.
+struct ComponentState {
+  const XnfComponent* comp = nullptr;
+  Extent extent;
+  // Seeded with the full candidate extent (roots and FREE components).
+  bool seeded = false;
+  // Rows first reached in the current round: the next round's frontier.
+  std::vector<size_t> fresh;
+  // The frontier the delta plans read; refilled at the start of a round.
+  std::shared_ptr<std::vector<Tuple>> frontier =
+      std::make_shared<std::vector<Tuple>>();
+  // Taken components: the emitted tid of each extent position.
+  std::vector<TupleId> tids;
+};
+
+// One relationship's delta plan and the connections it found.
+struct Delta {
+  const XnfComponent* rel = nullptr;
+  std::vector<ComponentState*> partners;  // parent first
+  std::vector<size_t> arity;              // head arity per partner
+  int parent_quant = -1;  // the relationship box's frontier-reading quantifier
+  OperatorPtr plan;  // planned in the first round with a non-empty frontier
+  // Taken relationships: the partner positions of every connection found,
+  // flattened (partners.size() per connection).
+  std::vector<size_t> conns;
+};
+
+// The per-evaluation state shared by execution and EXPLAIN: component
+// states, one Delta per relationship, and a planner whose relationship
+// parent quantifiers read their component's frontier.
+class Evaluation {
+ public:
+  Evaluation(const Catalog& catalog, const QueryGraph& graph, const Box& xnf,
+             PlanOptions options, ExecStats* stats)
+      : graph_(graph),
+        xnf_(xnf),
+        planner_(&catalog, &graph, WithOverrides(options, &overrides_),
+                 stats) {}
+
+  Status Init() {
+    for (const XnfComponent& c : xnf_.components) {
+      if (c.is_relationship) continue;
+      ComponentState& s = components_[c.name];
+      s.comp = &c;
+      s.seeded = c.is_root || !c.reachable;
+    }
+    for (const XnfComponent& r : xnf_.components) {
+      if (!r.is_relationship) continue;
+      Delta& d = deltas_.emplace_back();
+      d.rel = &r;
+      std::vector<std::string> names{r.parent};
+      names.insert(names.end(), r.children.begin(), r.children.end());
+      const Box* box = graph_.box(r.box_id);
+      if (box->quants.size() < names.size()) {
+        return Status::Internal("relationship " + r.name +
+                                " lacks its partner quantifiers");
+      }
+      for (size_t pi = 0; pi < names.size(); ++pi) {
+        auto it = components_.find(names[pi]);
+        if (it == components_.end()) {
+          return Status::Internal("relationship " + r.name +
+                                  " names unknown component " + names[pi]);
+        }
+        d.partners.push_back(&it->second);
+        d.arity.push_back(graph_.RangedBox(box->quants[pi].id)->HeadArity());
+      }
+      // BuildXnf adds the parent partner's quantifier first.
+      d.parent_quant = box->quants[0].id;
+      overrides_[d.parent_quant] =
+          QuantOverride{d.partners[0]->frontier, r.parent, 1.0};
+    }
+    return Status::Ok();
+  }
+
+  // Compiles `d`'s delta plan for a first frontier of `est_rows` rows.
+  Status Plan(Delta* d, double est_rows) {
+    overrides_[d->parent_quant].est_rows = std::max(est_rows, 1.0);
+    XNFDB_ASSIGN_OR_RETURN(d->plan, planner_.BoxIterator(d->rel->box_id));
+    return Status::Ok();
+  }
+
+  static std::string PlanHeader(const Delta& d) {
+    return "delta plan " + d.rel->name + " (frontier " + d.rel->parent +
+           "):\n";
+  }
+
+  Planner& planner() { return planner_; }
+  std::map<std::string, ComponentState>& components() { return components_; }
+  std::vector<Delta>& deltas() { return deltas_; }
+
+ private:
+  static PlanOptions WithOverrides(PlanOptions options,
+                                   const std::map<int, QuantOverride>* m) {
+    options.quant_overrides = m;
+    return options;
+  }
+
+  const QueryGraph& graph_;
+  const Box& xnf_;
+  std::map<int, QuantOverride> overrides_;  // declared before planner_
+  Planner planner_;
+  std::map<std::string, ComponentState> components_;
+  std::vector<Delta> deltas_;
 };
 
 Result<std::vector<int>> ProjectionIndexes(const Box& box,
@@ -85,16 +241,50 @@ Result<std::vector<int>> ProjectionIndexes(const Box& box,
   return out;
 }
 
-Tuple Slice(const Tuple& row, size_t offset, size_t arity) {
-  return Tuple(row.begin() + offset, row.begin() + offset + arity);
+// Pulls every row of the open `plan` into `fn(Tuple&)`, batch-wise unless
+// `batch` is null.
+template <typename Fn>
+Status PullRows(Operator* plan, TupleBatch* batch, const Fn& fn) {
+  if (batch == nullptr) {
+    Tuple row;
+    while (true) {
+      XNFDB_ASSIGN_OR_RETURN(bool more, plan->Next(&row));
+      if (!more) return Status::Ok();
+      XNFDB_RETURN_IF_ERROR(fn(row));
+    }
+  }
+  while (true) {
+    XNFDB_ASSIGN_OR_RETURN(bool more, plan->NextBatch(batch));
+    if (!more) return Status::Ok();
+    for (size_t i = 0; i < batch->ActiveCount(); ++i) {
+      XNFDB_RETURN_IF_ERROR(fn(batch->Active(i)));
+    }
+  }
 }
 
-Tuple Project(const Tuple& row, const std::vector<int>& cols) {
-  Tuple out;
-  out.reserve(cols.size());
-  for (int c : cols) out.push_back(row[c]);
-  return out;
-}
+// Hash and equality of connection stream items by their partner tids: a
+// set of stream positions, probed with a tid vector.
+struct ConnKey {
+  using is_transparent = void;
+  const std::vector<StreamItem>* stream;
+  const std::vector<TupleId>& Get(size_t i) const { return (*stream)[i].tids; }
+  const std::vector<TupleId>& Get(const std::vector<TupleId>& t) const {
+    return t;
+  }
+  template <typename K>
+  size_t operator()(const K& k) const {
+    size_t h = 14695981039346656037ULL;
+    for (TupleId t : Get(k)) {
+      h ^= std::hash<TupleId>()(t);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    return Get(a) == Get(b);
+  }
+};
 
 }  // namespace
 
@@ -104,186 +294,240 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
   XNFDB_ASSIGN_OR_RETURN(const Box* xnf, FindXnf(graph));
   QueryResult result;
   QueryContext* ctx = options.context.get();
+  const int batch_size = ResolveBatchSize(options.batch_size);
   PlanOptions plan_options = options.plan;
-  plan_options.context = ctx;  // governs candidate materialization drains
-  Planner planner(&catalog, &graph, plan_options, &result.stats);
+  plan_options.analyze = options.analyze;
+  plan_options.batch_size = batch_size;
+  plan_options.context = ctx;  // governs seeds, inner builds and delta plans
+  Evaluation eval(catalog, graph, *xnf, plan_options, &result.stats);
+  XNFDB_RETURN_IF_ERROR(eval.Init());
+  auto& components = eval.components();
 
-  // 1. Materialize candidates per component table.
-  std::map<std::string, Candidates> candidates;
-  size_t total_candidates = 0;
-  for (const XnfComponent& c : xnf->components) {
-    if (c.is_relationship) continue;
-    XNFDB_ASSIGN_OR_RETURN(auto rows, planner.MaterializeBox(c.box_id));
-    Candidates& cand = candidates[c.name];
+  // 1. Seed roots and FREE components with their full candidate extent.
+  size_t reached = 0;
+  for (auto& [name, s] : components) {
+    if (!s.seeded) continue;
+    XNFDB_ASSIGN_OR_RETURN(auto rows, eval.planner().MaterializeBox(
+                                          s.comp->box_id));
     for (const Tuple& row : *rows) {
-      // The interning table holds a second copy of each candidate row on
-      // top of the spool charged inside MaterializeBox.
+      // The extent holds a second copy of each seed row on top of the
+      // spool charged inside MaterializeBox.
       if (ctx != nullptr) {
         XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
       }
-      cand.Intern(row);
+      Tuple copy = row;
+      auto [pos, fresh] = s.extent.Intern({copy.data(), copy.size()});
+      if (fresh) s.fresh.push_back(pos);
     }
-    total_candidates += cand.rows.size();
-    if (c.is_root || !c.reachable) {
-      cand.reachable.assign(cand.rows.size(), true);
-    }
+    reached += s.extent.size();
     if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
   }
 
-  // 2. Materialize candidate connections per relationship.
-  std::map<std::string, std::vector<CandidateConnection>> connections;
-  for (const XnfComponent& r : xnf->components) {
-    if (!r.is_relationship) continue;
-    XNFDB_ASSIGN_OR_RETURN(auto rows, planner.MaterializeBox(r.box_id));
-    std::vector<std::string> partners;
-    partners.push_back(r.parent);
-    for (const std::string& c : r.children) partners.push_back(c);
-    std::vector<CandidateConnection>& conns = connections[r.name];
-    for (const Tuple& row : *rows) {
-      CandidateConnection conn;
-      size_t offset = 0;
-      bool ok = true;
-      for (const std::string& partner : partners) {
-        const XnfComponent* pc = xnf->FindComponent(partner);
-        size_t arity = graph.box(pc->box_id)->HeadArity();
-        Tuple part = Slice(row, offset, arity);
-        offset += arity;
-        size_t idx = candidates[partner].Find(part);
-        if (idx == static_cast<size_t>(-1)) {
-          ok = false;  // partner row filtered out of its candidates
-          break;
-        }
-        conn.partners.push_back(idx);
-      }
-      if (ok) conns.push_back(std::move(conn));
-    }
-    if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
+  // 2. Semi-naive rounds: join each frontier through the delta plans until
+  // no round reaches a new row. A row enters a frontier at most once, so
+  // more than reached + 1 rounds means that invariant broke.
+  std::unique_ptr<TupleBatch> batch;
+  if (batch_size > 1) {
+    batch = std::make_unique<TupleBatch>(static_cast<size_t>(batch_size));
   }
-
-  // 3. Least fixpoint of the reachability rule. Each productive iteration
-  // marks at least one new candidate reachable, so the fixpoint must settle
-  // within total_candidates + 1 passes — exceeding that bound means the
-  // monotonicity invariant broke and the loop would spin forever.
-  const size_t max_iterations = total_candidates + 1;
-  size_t iterations = 0;
-  bool changed = true;
-  while (changed) {
+  int64_t rounds = 0;
+  while (true) {
+    bool any = false;
+    for (auto& [name, s] : components) {
+      s.frontier->clear();
+      for (size_t pos : s.fresh) s.frontier->push_back(s.extent.row(pos));
+      s.fresh.clear();
+      any = any || !s.frontier->empty();
+    }
+    if (!any) break;
     if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
-    if (++iterations > max_iterations) {
+    if (static_cast<size_t>(++rounds) > reached + 1) {
       return Status::Internal(
-          "fixpoint failed to converge after " +
-          std::to_string(iterations - 1) + " iterations over " +
-          std::to_string(total_candidates) + " candidate rows");
+          "fixpoint failed to converge after " + std::to_string(rounds - 1) +
+          " rounds over " + std::to_string(reached) + " reached rows");
     }
-    changed = false;
-    for (const XnfComponent& r : xnf->components) {
-      if (!r.is_relationship) continue;
-      Candidates& parent_cand = candidates[r.parent];
-      for (const CandidateConnection& conn : connections[r.name]) {
-        if (!parent_cand.reachable[conn.partners[0]]) continue;
-        for (size_t ci = 0; ci < r.children.size(); ++ci) {
-          Candidates& child_cand = candidates[r.children[ci]];
-          if (!child_cand.reachable[conn.partners[1 + ci]]) {
-            child_cand.reachable[conn.partners[1 + ci]] = true;
-            changed = true;
-          }
-        }
+    for (Delta& d : eval.deltas()) {
+      ComponentState& parent = *d.partners[0];
+      if (parent.frontier->empty()) continue;
+      if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
+      if (d.plan == nullptr) {
+        XNFDB_RETURN_IF_ERROR(
+            eval.Plan(&d, static_cast<double>(parent.frontier->size())));
+        if (options.collect_profile) d.plan->EnableProfile();
       }
+      const bool taken = d.rel->taken;
+      XNFDB_RETURN_IF_ERROR(d.plan->Open());
+      XNFDB_RETURN_IF_ERROR(
+          PullRows(d.plan.get(), batch.get(), [&](Tuple& row) -> Status {
+            if (ctx != nullptr) {
+              XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
+            }
+            Value* at = row.data();
+            const size_t parent_pos = parent.extent.Find({at, d.arity[0]});
+            if (parent_pos == kNpos) {
+              return Status::Internal("delta plan " + d.rel->name +
+                                      " produced a row outside its frontier");
+            }
+            if (taken) d.conns.push_back(parent_pos);
+            at += d.arity[0];
+            for (size_t pi = 1; pi < d.partners.size(); ++pi) {
+              ComponentState& child = *d.partners[pi];
+              auto [pos, fresh] = child.extent.Intern({at, d.arity[pi]});
+              at += d.arity[pi];
+              if (fresh) {
+                if (ctx != nullptr) {
+                  XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(
+                      ApproxTupleBytes(child.extent.row(pos))));
+                }
+                child.fresh.push_back(pos);
+                ++reached;
+              }
+              if (taken) d.conns.push_back(pos);
+            }
+            return Status::Ok();
+          }));
+      d.plan->Close();
     }
   }
+  result.stats.fixpoint_rounds += rounds;
 
-  // 4. Emit the heterogeneous stream, mirroring the rewrite path's shape.
-  struct TidMap {
-    std::unordered_map<Tuple, TupleId, TupleHash, TupleEq> ids;
-    TupleId next = 0;
-  };
-  std::map<std::string, TidMap> tids;
-  std::map<std::string, std::vector<int>> take_cols;
-  std::map<std::string, int> output_index;
-
+  // 3. Emit the heterogeneous stream: taken components in declaration
+  // order, then taken relationships (the rewrite path's shape). A row's
+  // tid is its position among its component's reached rows when the TAKE
+  // projection is the identity; otherwise projections dedup by value.
+  size_t items = 0;
+  for (const auto& [name, s] : components) items += s.extent.size();
+  for (const Delta& d : eval.deltas()) {
+    items += d.conns.size() / d.partners.size();
+  }
+  result.stream.reserve(items);
   for (const XnfComponent& c : xnf->components) {
     if (c.is_relationship || !c.taken) continue;
+    ComponentState& s = components.at(c.name);
     const Box* box = graph.box(c.box_id);
     XNFDB_ASSIGN_OR_RETURN(std::vector<int> cols,
                            ProjectionIndexes(*box, c.take_columns));
-    take_cols[c.name] = cols;
     OutputDesc desc;
     desc.name = c.name;
-    for (int col : cols) {
+    bool identity = cols.size() == box->HeadArity();
+    for (size_t i = 0; i < cols.size(); ++i) {
+      identity = identity && cols[i] == static_cast<int>(i);
       Column column;
-      column.name = box->HeadName(col);
-      Result<DataType> t = graph.HeadType(c.box_id, col);
+      column.name = box->HeadName(cols[i]);
+      Result<DataType> t = graph.HeadType(c.box_id, cols[i]);
       column.type = t.ok() ? t.value() : DataType::kNull;
       desc.schema.AddColumn(std::move(column));
     }
-    output_index[c.name] = static_cast<int>(result.outputs.size());
+    const int out = static_cast<int>(result.outputs.size());
     result.outputs.push_back(std::move(desc));
 
-    Candidates& cand = candidates[c.name];
-    TidMap& map = tids[c.name];
-    for (size_t i = 0; i < cand.rows.size(); ++i) {
-      if (!cand.reachable[i]) continue;
-      Tuple projected = Project(cand.rows[i], cols);
-      auto [it, inserted] = map.ids.emplace(projected, map.next);
-      if (!inserted) continue;
-      ++map.next;
+    std::vector<TupleId>& tids = s.tids;
+    tids.resize(s.extent.size());
+    std::unordered_map<Tuple, TupleId, TupleHash, TupleEq> projected_tids;
+    for (size_t i = 0; i < s.extent.size(); ++i) {
+      Tuple values;
+      if (identity) {
+        tids[i] = static_cast<TupleId>(i);
+        values = std::move(s.extent.row(i));
+      } else {
+        for (int col : cols) values.push_back(s.extent.row(i)[col]);
+        auto [it, inserted] = projected_tids.emplace(
+            values, static_cast<TupleId>(projected_tids.size()));
+        tids[i] = it->second;
+        if (!inserted) continue;
+      }
       if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
       StreamItem item;
       item.kind = StreamItem::Kind::kRow;
-      item.output = output_index[c.name];
-      item.tid = it->second;
-      item.values = std::move(projected);
+      item.output = out;
+      item.tid = tids[i];
+      item.values = std::move(values);
       ++result.stats.rows_output;
       result.stream.push_back(std::move(item));
     }
   }
 
-  for (const XnfComponent& r : xnf->components) {
-    if (!r.is_relationship || !r.taken) continue;
-    std::vector<std::string> partners;
-    partners.push_back(r.parent);
-    for (const std::string& c : r.children) partners.push_back(c);
+  for (Delta& d : eval.deltas()) {
+    if (!d.rel->taken) continue;
     OutputDesc desc;
-    desc.name = r.name;
+    desc.name = d.rel->name;
     desc.is_connection = true;
-    desc.partner_names = partners;
-    int out_idx = static_cast<int>(result.outputs.size());
+    // Every found connection's partners are reached; one whose partner is
+    // not taken has no tids to carry.
+    bool emit = true;
+    for (ComponentState* p : d.partners) {
+      desc.partner_names.push_back(p->comp->name);
+      emit = emit && p->comp->taken;
+    }
+    const int out = static_cast<int>(result.outputs.size());
     result.outputs.push_back(std::move(desc));
+    if (!emit) continue;
 
-    std::set<std::vector<TupleId>> seen;
-    for (const CandidateConnection& conn : connections[r.name]) {
-      // A connection exists in the CO iff all its partners do.
-      bool all_reachable = true;
-      std::vector<TupleId> partner_tids;
-      for (size_t pi = 0; pi < partners.size(); ++pi) {
-        Candidates& cand = candidates[partners[pi]];
-        if (!cand.reachable[conn.partners[pi]]) {
-          all_reachable = false;
-          break;
-        }
-        Tuple projected =
-            Project(cand.rows[conn.partners[pi]], take_cols[partners[pi]]);
-        auto it = tids[partners[pi]].ids.find(projected);
-        if (it == tids[partners[pi]].ids.end()) {
-          all_reachable = false;  // partner not taken/emitted
-          break;
-        }
-        partner_tids.push_back(it->second);
+    const size_t k = d.partners.size();
+    std::unordered_set<size_t, ConnKey, ConnKey> seen(
+        d.conns.size() / k, ConnKey{&result.stream}, ConnKey{&result.stream});
+    std::vector<TupleId> tids(k);
+    for (size_t j = 0; j < d.conns.size(); j += k) {
+      for (size_t pi = 0; pi < k; ++pi) {
+        tids[pi] = d.partners[pi]->tids[d.conns[j + pi]];
       }
-      if (!all_reachable) continue;
-      if (!seen.insert(partner_tids).second) continue;
+      if (seen.find(tids) != seen.end()) continue;
       if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
       StreamItem item;
       item.kind = StreamItem::Kind::kConnection;
-      item.output = out_idx;
-      item.tids = std::move(partner_tids);
+      item.output = out;
+      item.tids = tids;
       ++result.stats.rows_output;
       result.stream.push_back(std::move(item));
+      seen.insert(result.stream.size() - 1);
     }
   }
 
+  // 4. Actuals of the delta plans, summed over the rounds they ran.
+  if (options.collect_profile) {
+    std::map<std::string, obs::OpProfile> ops;
+    for (Delta& d : eval.deltas()) {
+      if (d.plan != nullptr) AccumulateTree(d.plan.get(), &ops);
+    }
+    for (auto& [kind, p] : ops) result.profile.ops.push_back(std::move(p));
+    result.profile.rows_out = result.stats.rows_output;
+  }
+  if (options.analyze) {
+    for (Delta& d : eval.deltas()) {
+      std::string text = Evaluation::PlanHeader(d);
+      if (d.plan != nullptr) {
+        d.plan->Explain(1, &text);
+      } else {
+        ExplainLine(1, "never opened: the " + d.rel->parent +
+                           " frontier stayed empty", &text);
+      }
+      result.plan_texts.push_back(std::move(text));
+    }
+    result.plan_texts.push_back("fixpoint: rounds=" + std::to_string(rounds) +
+                                " reached=" + std::to_string(reached) + "\n");
+  }
   if (options.metrics != nullptr) result.stats.PublishTo(options.metrics);
   return result;
+}
+
+Result<std::string> ExplainXnfFixpoint(const Catalog& catalog,
+                                       const QueryGraph& graph,
+                                       const PlanOptions& options) {
+  XNFDB_ASSIGN_OR_RETURN(const Box* xnf, FindXnf(graph));
+  ExecStats stats;
+  Evaluation eval(catalog, graph, *xnf, options, &stats);
+  XNFDB_RETURN_IF_ERROR(eval.Init());
+  std::string out;
+  for (Delta& d : eval.deltas()) {
+    const ComponentState& parent = *d.partners[0];
+    const double est = parent.seeded
+                           ? eval.planner().EstimateCard(parent.comp->box_id)
+                           : 1.0;
+    XNFDB_RETURN_IF_ERROR(eval.Plan(&d, est));
+    out += Evaluation::PlanHeader(d);
+    d.plan->Explain(1, &out);
+  }
+  return out;
 }
 
 }  // namespace xnfdb

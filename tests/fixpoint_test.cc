@@ -156,5 +156,125 @@ TEST(FixpointTest, MatchesRewritePathOnAcyclicQuery) {
   EXPECT_EQ(Canonical(rewritten.value()), Canonical(fixpoint.value()));
 }
 
+// Acyclic shapes the delta plans treat differently, each checked against
+// the rewrite path: a FREE partner (full extent, no frontier growth), a
+// multi-child relationship, a non-equi relationship (nested-loop delta
+// plan) and a TAKE projection (tids by projected value).
+TEST(FixpointTest, MatchesRewritePathOnAcyclicShapes) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  const char* kShapes[] = {
+      R"sql(OUT OF xdept AS (SELECT * FROM DEPT WHERE LOC = 'ARC'),
+                   xemp AS FREE EMP,
+                   employment AS (RELATE xdept VIA EMPLOYS, xemp
+                                  WHERE xdept.dno = xemp.edno)
+            TAKE *)sql",
+      R"sql(OUT OF xdept AS (SELECT * FROM DEPT WHERE LOC = 'ARC'),
+                   xemp AS EMP,
+                   xproj AS PROJ,
+                   staffing AS (RELATE xdept VIA STAFFS, xemp, xproj
+                                WHERE xdept.dno = xemp.edno AND
+                                      xdept.dno = xproj.pdno)
+            TAKE *)sql",
+      R"sql(OUT OF arc_depts AS (SELECT * FROM DEPT WHERE LOC = 'ARC'),
+                   ykt_depts AS (SELECT * FROM DEPT WHERE LOC = 'YKT'),
+                   pairing AS (RELATE arc_depts VIA PAIRS, ykt_depts
+                               WHERE arc_depts.dno < ykt_depts.dno)
+            TAKE *)sql",
+      R"sql(OUT OF xdept AS (SELECT * FROM DEPT WHERE LOC = 'ARC'),
+                   xemp AS EMP,
+                   employment AS (RELATE xdept VIA EMPLOYS, xemp
+                                  WHERE xdept.dno = xemp.edno)
+            TAKE xdept(loc), xemp(edno), employment)sql",
+  };
+  for (const char* text : kShapes) {
+    Result<std::unique_ptr<ast::XnfQuery>> q = ParseXnfQuery(text);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    Result<QueryResult> rewritten = db.QueryXnf(*q.value());
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+    Result<std::unique_ptr<qgm::QueryGraph>> graph =
+        BuildXnf(db.catalog(), *q.value());
+    ASSERT_TRUE(graph.ok());
+    Result<QueryResult> fixpoint =
+        ExecuteXnfFixpoint(db.catalog(), *graph.value());
+    ASSERT_TRUE(fixpoint.ok()) << fixpoint.status().ToString();
+    EXPECT_EQ(Canonical(rewritten.value()), Canonical(fixpoint.value()))
+        << text;
+  }
+}
+
+// A 1000-part chain: one round per part. The delta plans read only the
+// frontier and the relationship's inputs once per evaluation — through the
+// indexes when there are some, through kept hash-join builds otherwise.
+TEST(FixpointTest, DeepChainScansProportionalToTheAnswer) {
+  constexpr int kParts = 1000;
+  for (bool indexed : {true, false}) {
+    Database db;
+    ASSERT_TRUE(db.ExecuteScript(
+                      "CREATE TABLE PART (PNO INTEGER, PNAME VARCHAR);"
+                      "CREATE TABLE USAGE (ASSEMBLY INTEGER, "
+                      "COMPONENT INTEGER)")
+                    .ok());
+    if (indexed) {
+      ASSERT_TRUE(db.ExecuteScript("CREATE INDEX ON PART (PNO);"
+                                   "CREATE INDEX ON USAGE (ASSEMBLY)")
+                      .ok());
+    }
+    std::string parts = "INSERT INTO PART VALUES (1, 'p1')";
+    std::string edges = "INSERT INTO USAGE VALUES (1, 2)";
+    for (int p = 2; p <= kParts; ++p) {
+      parts += ", (" + std::to_string(p) + ", 'p" + std::to_string(p) + "')";
+      if (p < kParts) {
+        edges += ", (" + std::to_string(p) + ", " + std::to_string(p + 1) +
+                 ")";
+      }
+    }
+    ASSERT_TRUE(db.Execute(parts).ok());
+    ASSERT_TRUE(db.Execute(edges).ok());
+    Result<QueryResult> r = db.Query(kBomQuery);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryResult& result = r.value();
+    EXPECT_EQ(result.RowCount(result.FindOutput("XPART")),
+              static_cast<size_t>(kParts - 1));
+    EXPECT_EQ(result.ConnectionCount(result.FindOutput("USAGE")),
+              static_cast<size_t>(kParts - 2));
+    EXPECT_EQ(result.stats.fixpoint_rounds, kParts);
+    const int64_t edges_n = kParts - 1;
+    EXPECT_LE(result.stats.rows_scanned, 4 * (kParts + edges_n))
+        << "indexed " << indexed;
+  }
+}
+
+// Governance keeps its strength: a row budget below the answer and a
+// cancelled context fail with the statuses the evaluator always gave.
+TEST(FixpointTest, RowBudgetAndCancellationTerminate) {
+  Database db;
+  LoadBom(&db);
+  Result<std::unique_ptr<ast::XnfQuery>> q = ParseXnfQuery(kBomQuery);
+  ASSERT_TRUE(q.ok());
+  Result<std::unique_ptr<qgm::QueryGraph>> graph =
+      BuildXnf(db.catalog(), *q.value());
+  ASSERT_TRUE(graph.ok());
+
+  ExecOptions budget;
+  budget.context = std::make_shared<QueryContext>();
+  QueryLimits limits;
+  limits.max_result_rows = 3;  // the answer has 1 + 4 rows, 1 + 3 links
+  budget.context->SetLimits(limits);
+  Result<QueryResult> r =
+      ExecuteXnfFixpoint(db.catalog(), *graph.value(), budget);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+      << r.status().ToString();
+
+  ExecOptions cancelled;
+  cancelled.context = std::make_shared<QueryContext>();
+  cancelled.context->Cancel();
+  r = ExecuteXnfFixpoint(db.catalog(), *graph.value(), cancelled);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+      << r.status().ToString();
+}
+
 }  // namespace
 }  // namespace xnfdb

@@ -149,7 +149,9 @@ TEST_F(ScenarioTest, Oo1WorkloadLoadsAndNavigates) {
   EXPECT_GT(parts->LiveCount(), 1000u);
   // Depth-3 traversal visits the expected branching (3 connections/part).
   Relationship* conn = ws.relationship("CONN").value();
-  CachedRow* start = parts->row(0);
+  // Start at part 1 by value: the stream order of XPART is not part order.
+  CachedRow* start = parts->FindByValue(0, Value(int64_t{1}));
+  ASSERT_NE(start, nullptr);
   size_t visited = 0;
   DependentCursor level1(&ws, conn, start);
   while (level1.Next()) {
