@@ -513,6 +513,7 @@ Result<QueryResult> Database::ServeMatView(
   }
   std::vector<std::string> shapes;
   int64_t rows_emitted = 0;
+  TupleBatch batch(static_cast<size_t>(ResolveBatchSize(eo.batch_size)));
   // Component streams first, then connections — the executor's pass order,
   // so consumers that resolve connection tids against previously seen
   // component rows keep working.
@@ -521,45 +522,45 @@ Result<QueryResult> Database::ServeMatView(
       const MatViewOutputData& od = data.outputs[oi];
       if (od.desc.is_connection != (pass == 1)) continue;
       if (!od.desc.is_connection) {
-        // Rows are pulled through a real MatViewScanOp so stats, profiling
-        // and per-row cancellation behave exactly like an execution, and
+        // Rows are pulled through a real MatViewScanOp so stats, profile
+        // counters and cancellation behave exactly like an execution, and
         // the plan shape carries the matview provenance SYS$PLAN_HISTORY
         // records the flip under.
         auto rows_sp =
             std::shared_ptr<const std::vector<Tuple>>(handle.data, &od.rows);
         MatViewScanOp op(handle.name, rows_sp, &r.stats);
         if (ctx != nullptr) op.AttachContext(ctx);
-        if (eo.collect_profile) op.EnableProfile();
-        XNFDB_RETURN_IF_ERROR(op.Open());
-        Tuple row;
         size_t i = 0;
-        while (true) {
-          XNFDB_ASSIGN_OR_RETURN(bool more, op.Next(&row));
-          if (!more) break;
-          StreamItem item;
-          item.kind = StreamItem::Kind::kRow;
-          item.output = static_cast<int>(oi);
-          item.tid = od.tids[i++];
-          item.values = std::move(row);
-          row = Tuple();
-          r.stream.push_back(std::move(item));
-          if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-          ++rows_emitted;
-        }
+        XNFDB_RETURN_IF_ERROR(
+            DrainRows(&op, &batch, [&](Tuple& row) -> Status {
+              StreamItem item;
+              item.kind = StreamItem::Kind::kRow;
+              item.output = static_cast<int>(oi);
+              item.tid = od.tids[i++];
+              item.values = std::move(row);
+              r.stream.push_back(std::move(item));
+              if (ctx != nullptr) {
+                XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
+              }
+              ++rows_emitted;
+              return Status::Ok();
+            }).status());
         if (eo.analyze) {
           std::string plan = "output " + od.desc.name + ":\n";
           op.Explain(1, &plan);
           r.plan_texts.push_back(std::move(plan));
         }
+        // The served read is untimed: as the whole plan, its time is the
+        // execute wall time the caller records for the query.
         if (eo.collect_profile) {
           obs::OpProfile prof;
           prof.op = op.Kind();
-          prof.loops = 1;
-          prof.rows = static_cast<int64_t>(od.rows.size());
+          prof.loops = op.actuals().loops;
+          prof.rows = op.actuals().rows;
+          prof.batches = op.actuals().batches;
           r.profile.ops.push_back(std::move(prof));
         }
         shapes.push_back(od.desc.name + "=" + PlanShapeText(&op));
-        op.Close();
       } else {
         for (const std::vector<TupleId>& conn : od.conns) {
           if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());

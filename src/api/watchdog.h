@@ -2,12 +2,12 @@
 // queries and flags the ones whose progress has stopped.
 //
 // "Stuck" is defined by the operator wrappers' progress heartbeat
-// (QueryContext::Tick, bumped at every Open/NextBatch and every ~1k rows on
-// the Volcano path): a *running* query whose (ticks, rows, bytes)
-// fingerprint has not changed for `stall_ms` is wedged inside a single
-// call — spinning, blocked, or lost — not merely slow between rows. Queued
-// queries are never flagged (they are waiting by design), and detection
-// needs no per-tick clock reads: the watchdog stamps its own scan times.
+// (QueryContext::Tick, bumped at every Open/NextBatch): a *running* query
+// whose (ticks, rows, bytes) fingerprint has not changed for `stall_ms` is
+// wedged inside a single call — spinning, blocked, or lost — not merely
+// slow between rows. Queued queries are never flagged (they are waiting by
+// design), and detection needs no per-tick clock reads: the watchdog stamps
+// its own scan times.
 //
 // On detection the watchdog emits one structured warn line on the
 // "watchdog" channel carrying the profile-so-far (elapsed, rows, bytes,

@@ -7,8 +7,8 @@
 // Consumers iterate Active(i) for i in [0, ActiveCount()).
 //
 // NextBatch(batch) returning true with ActiveCount() == 0 is legal (a fully
-// filtered batch); only `false` means end of stream. batch_size = 1
-// degenerates to the classic tuple-at-a-time Volcano pipeline.
+// filtered batch); only `false` means end of stream. batch_size = 1 runs
+// the same code with one-row batches.
 
 #ifndef XNFDB_EXEC_BATCH_H_
 #define XNFDB_EXEC_BATCH_H_
@@ -36,15 +36,21 @@ inline int ResolveBatchSize(int requested) {
 
 class TupleBatch {
  public:
+  // Row storage grows as rows are appended, not to `capacity` up front: a
+  // batch that only ever carries a few rows (a served stored view, a
+  // single-row delta, a point lookup) costs no kilobyte-sized allocation.
   explicit TupleBatch(size_t capacity = kDefaultBatchSize)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    rows_.reserve(capacity_);
-    sel_.reserve(capacity_);
-  }
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   size_t capacity() const { return capacity_; }
-  // Producers stop appending at capacity; operators with match fan-out
-  // (joins) may overshoot it rather than carry state across calls.
+  // Changes how many rows producers append before the batch counts as full;
+  // the pooled row storage stays. Consumers resize a batch between pulls
+  // (LimitOp asks for no more rows than it still needs).
+  void set_capacity(size_t capacity) {
+    capacity_ = capacity == 0 ? 1 : capacity;
+  }
+  // Producers stop appending at capacity; hash and index joins may
+  // overshoot it rather than carry probe state across calls.
   bool Full() const { return size_ >= capacity_; }
   bool Empty() const { return size_ == 0; }
 

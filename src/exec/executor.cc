@@ -106,35 +106,6 @@ Rid ResolveMorselRows(int64_t requested) {
       ParseEnvInt("XNFDB_MORSEL_ROWS", 1, int64_t{1} << 30, 2048));
 }
 
-// Pulls every row out of `op` (already Open) at the requested granularity
-// and hands each to `emit` (Tuple&& -> Status). batch_size <= 1 keeps the
-// classic row-at-a-time pull; otherwise each delivered batch bumps
-// `batches_emitted`.
-template <typename EmitFn>
-Status PullRows(Operator* op, int batch_size, StatCounter* batches_emitted,
-                const EmitFn& emit) {
-  if (batch_size <= 1) {
-    Tuple row;
-    while (true) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, op->Next(&row));
-      if (!more) break;
-      XNFDB_RETURN_IF_ERROR(emit(std::move(row)));
-      row = Tuple();
-    }
-    return Status::Ok();
-  }
-  TupleBatch batch(static_cast<size_t>(batch_size));
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
-    if (!more) break;
-    ++*batches_emitted;
-    for (size_t i = 0; i < batch.ActiveCount(); ++i) {
-      XNFDB_RETURN_IF_ERROR(emit(std::move(batch.Active(i))));
-    }
-  }
-  return Status::Ok();
-}
-
 // Runs `task(i)` for i in [0, n) on up to `workers` threads. Tasks must be
 // independent. Returns the first failure, if any.
 Status RunParallel(int n, int workers,
@@ -375,10 +346,10 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       }
       auto w0 = std::chrono::steady_clock::now();
       int64_t worker_rows = 0;
-      XNFDB_RETURN_IF_ERROR(plan->Open());
-      XNFDB_RETURN_IF_ERROR(PullRows(
-          plan, batch_size, &run_stats.batches_emitted,
-          [&](Tuple&& row) -> Status {
+      TupleBatch batch(static_cast<size_t>(batch_size));
+      XNFDB_ASSIGN_OR_RETURN(
+          int64_t batches,
+          DrainRows(plan, &batch, [&](Tuple& row) -> Status {
             // A batch never spans morsels (ScanOp guarantee), so the
             // driver's current morsel tags every row it just produced.
             Tuple projected =
@@ -394,7 +365,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
             buckets[driver->current_morsel()].push_back(std::move(projected));
             return Status::Ok();
           }));
-      plan->Close();
+      run_stats.batches_emitted += batches;
       if (collect_profile) {
         int64_t wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
                               std::chrono::steady_clock::now() - w0)
@@ -467,16 +438,15 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
             return run_morsel_output(oi, out, std::move(op), driver);
           }
         }
-        XNFDB_RETURN_IF_ERROR(op->Open());
         TidMap& map = tids[out.name];
-        XNFDB_RETURN_IF_ERROR(PullRows(
-            op.get(), batch_size, &run_stats.batches_emitted,
-            [&](Tuple&& row) -> Status {
+        TupleBatch batch(static_cast<size_t>(batch_size));
+        XNFDB_ASSIGN_OR_RETURN(
+            int64_t batches, DrainRows(op.get(), &batch, [&](Tuple& row) {
               Tuple projected =
                   out.cols.empty() ? std::move(row) : ProjectCols(row, out.cols);
               return emit_component(oi, out, map, std::move(projected));
             }));
-        op->Close();
+        run_stats.batches_emitted += batches;
         capture_plan(oi, out, op.get());
         record_tree(op.get());
         record_feedback(oi, op.get());
@@ -500,13 +470,13 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
         if (collect_profile) op->EnableProfile();
         capture_shape(oi, out, op.get());
         PhaseTimer timer(options.metrics, "phase.execute.us");
-        XNFDB_RETURN_IF_ERROR(op->Open());
         std::set<std::vector<TupleId>> seen;
         std::map<std::vector<TupleId>, int64_t>* counts =
             collect_counts ? &result.connection_counts[oi] : nullptr;
-        XNFDB_RETURN_IF_ERROR(PullRows(
-            op.get(), batch_size, &run_stats.batches_emitted,
-            [&](Tuple&& row) -> Status {
+        TupleBatch batch(static_cast<size_t>(batch_size));
+        XNFDB_ASSIGN_OR_RETURN(
+            int64_t batches,
+            DrainRows(op.get(), &batch, [&](Tuple& row) -> Status {
               std::vector<TupleId> partner_tids;
               for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
                 const std::string& partner = out.partner_names[pi];
@@ -541,7 +511,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
               buffers[oi].push_back(std::move(item));
               return Status::Ok();
             }));
-        op->Close();
+        run_stats.batches_emitted += batches;
         capture_plan(oi, out, op.get());
         record_tree(op.get());
         record_feedback(oi, op.get());

@@ -101,9 +101,9 @@ struct ExecOptions {
   // (paper Sect. 5.1/6: applying parallelism to set-oriented CO
   // extraction). 1 = sequential.
   int parallel_workers = 1;
-  // Rows pulled per executor batch from every output's plan root (and used
-  // for plan-time spool materialization). 0 = XNFDB_BATCH_SIZE env var or
-  // 1024; 1 reproduces tuple-at-a-time execution exactly.
+  // Rows per batch, for every pull in the query: output plan roots, spool
+  // and group materialization, join builds, sort and aggregate inputs. 0 =
+  // XNFDB_BATCH_SIZE env var or 1024; 1 runs one-row batches.
   int batch_size = 0;
   // Morsel-driven intra-plan parallelism: when > 1 and an output's plan is
   // a streaming scan pipeline (filters/projections/join probe sides over a
@@ -118,8 +118,8 @@ struct ExecOptions {
   // fill QueryResult::plan_texts with annotated plan trees.
   bool analyze = false;
   // Always-on profiling: aggregate every finished plan tree's actuals into
-  // QueryResult::profile, with batch-granularity wall time (Open/NextBatch
-  // only — the per-row Next path is never timed). Cheap enough to leave on;
+  // QueryResult::profile, with batch-granularity wall time (measured around
+  // Open/NextBatch/Close, never per row). Cheap enough to leave on;
   // XNFDB_QUERY_PROFILES=0 turns it off via Database.
   bool collect_profile = true;
   // Cardinality feedback + plan-shape hashing: fill QueryResult::plan_hash,

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
-#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/plan_feedback.h"
@@ -35,12 +35,6 @@ void ExecStats::PublishTo(obs::MetricsRegistry* registry) const {
   registry->GetCounter("exec.batches_emitted")->Increment(batches_emitted);
   registry->GetCounter("exec.morsels_claimed")->Increment(morsels_claimed);
   registry->GetCounter("exec.fixpoint_rounds")->Increment(fixpoint_rounds);
-  registry->GetCounter("exec.batches_scan")->Increment(batches_scan);
-  registry->GetCounter("exec.batches_spool")->Increment(batches_spool);
-  registry->GetCounter("exec.batches_filter")->Increment(batches_filter);
-  registry->GetCounter("exec.batches_project")->Increment(batches_project);
-  registry->GetCounter("exec.batches_join")->Increment(batches_join);
-  registry->GetCounter("exec.batches_exists")->Increment(batches_exists);
 }
 
 // --- Operator lifecycle wrappers -------------------------------------------
@@ -51,6 +45,32 @@ int64_t ElapsedNs(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// Appends rows[*pos...] to `out` until it is full, advancing `*pos`;
+// returns how many rows it appended. The one read loop of every operator
+// that serves rows it holds in a vector: spools and frontiers, stored
+// views, virtual tables, sort and aggregate results.
+size_t ReadRows(const std::vector<Tuple>& rows, size_t* pos,
+                TupleBatch* out) {
+  size_t n = 0;
+  while (*pos < rows.size() && !out->Full()) {
+    out->AppendRow() = rows[(*pos)++];  // copy-assign reuses slot buffers
+    ++n;
+  }
+  return n;
+}
+
+// Appends the live rows among rids[*pos...] of `table` to `out` until it is
+// full (index and range scans).
+void FetchRids(const Table& table, const std::vector<Rid>& rids, size_t* pos,
+               ExecStats* stats, TupleBatch* out) {
+  while (*pos < rids.size() && !out->Full()) {
+    Rid r = rids[(*pos)++];
+    if (!table.IsLive(r)) continue;
+    out->AppendRow() = table.Get(r);
+    if (stats != nullptr) ++stats->rows_scanned;
+  }
 }
 
 }  // namespace
@@ -66,32 +86,6 @@ Status Operator::Open() {
   Status s = OpenImpl();
   actuals_.ns += ElapsedNs(t0);
   return s;
-}
-
-Result<bool> Operator::Next(Tuple* row) {
-  // Row-at-a-time governance: the cancellation flag is one atomic load, so
-  // it is checked on every call; the deadline needs a clock read, so it is
-  // only re-checked once per kDefaultBatchSize rows (a synthetic batch
-  // boundary for the Volcano path).
-  if (ctx_ != nullptr) {
-    if (ctx_->cancelled()) return Result<bool>(ctx_->CheckCancelled());
-    if (++gov_tick_ >= kDefaultBatchSize) {
-      gov_tick_ = 0;
-      ctx_->Tick();  // watchdog heartbeat at the synthetic batch boundary
-      Status s = ctx_->Check();
-      if (!s.ok()) return Result<bool>(std::move(s));
-    }
-  }
-  if (!analyze_) {
-    Result<bool> r = NextImpl(row);
-    if (r.ok() && r.value()) ++actuals_.rows;
-    return r;
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  Result<bool> r = NextImpl(row);
-  actuals_.ns += ElapsedNs(t0);
-  if (r.ok() && r.value()) ++actuals_.rows;
-  return r;
 }
 
 Result<bool> Operator::NextBatch(TupleBatch* out) {
@@ -119,19 +113,6 @@ Result<bool> Operator::NextBatch(TupleBatch* out) {
   return r;
 }
 
-Result<bool> Operator::NextBatchImpl(TupleBatch* out) {
-  while (!out->Full()) {
-    Tuple& row = out->AppendRow();  // filled in place to reuse slot buffers
-    Result<bool> more = NextImpl(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) {
-      out->DropLastRow();
-      break;
-    }
-  }
-  return !out->Empty();
-}
-
 void Operator::Close() {
   if (!analyze_ && !profile_) {
     CloseImpl();
@@ -154,7 +135,6 @@ void Operator::EnableProfile() {
 
 void Operator::AttachContext(QueryContext* ctx) {
   ctx_ = ctx;
-  gov_tick_ = 0;
   for (Operator* c : Children()) c->AttachContext(ctx);
 }
 
@@ -236,33 +216,15 @@ uint64_t PlanShapeHash(const std::string& shape) {
 Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size,
                                          QueryContext* ctx) {
   std::vector<Tuple> rows;
-  XNFDB_RETURN_IF_ERROR(op->Open());
-  if (batch_size <= 1) {
-    Tuple row;
-    while (true) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, op->Next(&row));
-      if (!more) break;
-      if (ctx != nullptr) {
-        XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
-      }
-      rows.push_back(std::move(row));
-      row = Tuple();
-    }
-  } else {
-    TupleBatch batch(static_cast<size_t>(batch_size));
-    while (true) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
-      if (!more) break;
-      for (size_t i = 0; i < batch.ActiveCount(); ++i) {
+  TupleBatch batch(static_cast<size_t>(batch_size));
+  XNFDB_RETURN_IF_ERROR(
+      DrainRows(op, &batch, [&](Tuple& row) -> Status {
         if (ctx != nullptr) {
-          XNFDB_RETURN_IF_ERROR(
-              ctx->ReserveBytes(ApproxTupleBytes(batch.Active(i))));
+          XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
         }
-        rows.push_back(std::move(batch.Active(i)));
-      }
-    }
-  }
-  op->Close();
+        rows.push_back(std::move(row));
+        return Status::Ok();
+      }).status());
   return rows;
 }
 
@@ -278,20 +240,6 @@ bool ScanOp::ClaimMorsel() {
   ++claimed_;
   if (stats_ != nullptr) ++stats_->morsels_claimed;
   return true;
-}
-
-Result<bool> ScanOp::NextImpl(Tuple* row) {
-  while (true) {
-    Rid end = morsels_ != nullptr ? morsel_end_ : table_->rid_bound();
-    while (rid_ < end) {
-      Rid r = rid_++;
-      if (!table_->IsLive(r)) continue;
-      *row = table_->Get(r);
-      if (stats_ != nullptr) ++stats_->rows_scanned;
-      return true;
-    }
-    if (morsels_ == nullptr || !ClaimMorsel()) return false;
-  }
 }
 
 Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
@@ -310,7 +258,6 @@ Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
     if (!out->Empty()) break;
     if (!ClaimMorsel()) break;
   }
-  if (!out->Empty() && stats_ != nullptr) ++stats_->batches_scan;
   return !out->Empty();
 }
 
@@ -320,11 +267,10 @@ Status VirtualScanOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> VirtualScanOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  if (stats_ != nullptr) ++stats_->rows_scanned;
-  return true;
+Result<bool> VirtualScanOp::NextBatchImpl(TupleBatch* out) {
+  const size_t n = ReadRows(rows_, &pos_, out);
+  if (stats_ != nullptr) stats_->rows_scanned += static_cast<int64_t>(n);
+  return n > 0;
 }
 
 Status IndexScanOp::OpenImpl() {
@@ -338,16 +284,9 @@ Status IndexScanOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> IndexScanOp::NextImpl(Tuple* row) {
-  if (rids_ == nullptr) return false;
-  while (pos_ < rids_->size()) {
-    Rid r = (*rids_)[pos_++];
-    if (!table_->IsLive(r)) continue;
-    *row = table_->Get(r);
-    if (stats_ != nullptr) ++stats_->rows_scanned;
-    return true;
-  }
-  return false;
+Result<bool> IndexScanOp::NextBatchImpl(TupleBatch* out) {
+  if (rids_ != nullptr) FetchRids(*table_, *rids_, &pos_, stats_, out);
+  return !out->Empty();
 }
 
 Status RangeScanOp::OpenImpl() {
@@ -364,66 +303,18 @@ Status RangeScanOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> RangeScanOp::NextImpl(Tuple* row) {
-  while (pos_ < rids_.size()) {
-    Rid r = rids_[pos_++];
-    if (!table_->IsLive(r)) continue;
-    *row = table_->Get(r);
-    if (stats_ != nullptr) ++stats_->rows_scanned;
-    return true;
-  }
-  return false;
-}
-
-Result<bool> MaterializedOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_->size()) return false;
-  *row = (*rows_)[pos_++];
-  if (stats_ != nullptr) ++stats_->spool_read_rows;
-  return true;
+Result<bool> RangeScanOp::NextBatchImpl(TupleBatch* out) {
+  FetchRids(*table_, rids_, &pos_, stats_, out);
+  return !out->Empty();
 }
 
 Result<bool> MaterializedOp::NextBatchImpl(TupleBatch* out) {
-  while (pos_ < rows_->size() && !out->Full()) {
-    out->AppendRow() = (*rows_)[pos_++];
-    if (stats_ != nullptr) ++stats_->spool_read_rows;
-  }
-  if (!out->Empty() && stats_ != nullptr) ++stats_->batches_spool;
-  return !out->Empty();
-}
-
-Result<bool> MatViewScanOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_->size()) return false;
-  *row = (*rows_)[pos_++];
-  if (stats_ != nullptr) ++stats_->spool_read_rows;
-  return true;
-}
-
-Result<bool> MatViewScanOp::NextBatchImpl(TupleBatch* out) {
-  while (pos_ < rows_->size() && !out->Full()) {
-    out->AppendRow() = (*rows_)[pos_++];
-    if (stats_ != nullptr) ++stats_->spool_read_rows;
-  }
-  if (!out->Empty() && stats_ != nullptr) ++stats_->batches_spool;
-  return !out->Empty();
+  const size_t n = ReadRows(*rows_, &pos_, out);
+  if (stats_ != nullptr) stats_->spool_read_rows += static_cast<int64_t>(n);
+  return n > 0;
 }
 
 // --- row transforms -----------------------------------------------------------
-
-Result<bool> FilterOp::NextImpl(Tuple* row) {
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    bool pass = true;
-    for (const qgm::Expr* p : preds_) {
-      XNFDB_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*p, layout_, *row));
-      if (!ok) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) return true;
-  }
-}
 
 Result<bool> FilterOp::NextBatchImpl(TupleBatch* out) {
   XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
@@ -444,31 +335,17 @@ Result<bool> FilterOp::NextBatchImpl(TupleBatch* out) {
     if (pass) sel[kept++] = sel[i];
   }
   sel.resize(kept);
-  if (stats_ != nullptr) ++stats_->batches_filter;
-  return true;
-}
-
-Result<bool> ProjectOp::NextImpl(Tuple* row) {
-  Tuple input;
-  XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(&input));
-  if (!more) return false;
-  row->clear();
-  row->reserve(exprs_.size());
-  for (const qgm::Expr* e : exprs_) {
-    XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, layout_, input));
-    row->push_back(std::move(v));
-  }
   return true;
 }
 
 Result<bool> ProjectOp::NextBatchImpl(TupleBatch* out) {
-  if (in_ == nullptr || in_->capacity() != out->capacity()) {
-    in_ = std::make_unique<TupleBatch>(out->capacity());
-  }
-  XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(in_.get()));
+  // The child batch matches the consumer's, so a LIMIT's request reaches
+  // the scan below.
+  in_.set_capacity(out->capacity());
+  XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in_));
   if (!more) return false;
-  for (size_t i = 0; i < in_->ActiveCount(); ++i) {
-    const Tuple& input = in_->Active(i);
+  for (size_t i = 0; i < in_.ActiveCount(); ++i) {
+    const Tuple& input = in_.Active(i);
     Tuple& row = out->AppendRow();  // reuses the slot's vector capacity
     row.clear();
     row.reserve(exprs_.size());
@@ -477,37 +354,30 @@ Result<bool> ProjectOp::NextBatchImpl(TupleBatch* out) {
       row.push_back(std::move(v));
     }
   }
-  if (stats_ != nullptr) ++stats_->batches_project;
   return true;
 }
 
-Result<bool> DistinctOp::NextImpl(Tuple* row) {
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    if (seen_.emplace(*row, true).second) {
-      // The dedup table keeps a copy of every distinct row.
-      if (context() != nullptr) {
-        XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(*row)));
-      }
-      return true;
+Result<bool> DistinctOp::NextBatchImpl(TupleBatch* out) {
+  XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
+  if (!more) return false;
+  std::vector<uint32_t>& sel = out->sel();
+  size_t kept = 0;
+  for (size_t i = 0; i < sel.size(); ++i) {
+    const Tuple& row = out->rows()[sel[i]];
+    if (!seen_.emplace(row, true).second) continue;
+    // The dedup table keeps a copy of every distinct row.
+    if (context() != nullptr) {
+      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(row)));
     }
+    sel[kept++] = sel[i];
   }
+  sel.resize(kept);
+  return true;
 }
 
 Status SortOp::OpenImpl() {
-  XNFDB_RETURN_IF_ERROR(child_->Open());
-  rows_.clear();
-  Tuple in;
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-    if (!more) break;
-    if (context() != nullptr) {
-      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(in)));
-    }
-    rows_.push_back(std::move(in));
-    in = Tuple();
-  }
+  XNFDB_ASSIGN_OR_RETURN(rows_,
+                         DrainOperator(child_.get(), batch_size_, context()));
   std::stable_sort(rows_.begin(), rows_.end(),
                    [this](const Tuple& a, const Tuple& b) {
                      for (const auto& [col, desc] : keys_) {
@@ -522,22 +392,31 @@ Status SortOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> SortOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
+Result<bool> SortOp::NextBatchImpl(TupleBatch* out) {
+  return ReadRows(rows_, &pos_, out) > 0;
 }
 
-Result<bool> LimitOp::NextImpl(Tuple* row) {
-  while (skipped_ < offset_) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    ++skipped_;
-  }
+Result<bool> LimitOp::NextBatchImpl(TupleBatch* out) {
   if (limit_ >= 0 && emitted_ >= limit_) return false;
-  XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-  if (!more) return false;
-  ++emitted_;
+  // Pull straight into `out`, shrunk to the rows still needed (skipped
+  // offset rows included); the consumer's capacity is restored after.
+  const size_t capacity = out->capacity();
+  if (limit_ >= 0) {
+    out->set_capacity(std::min<size_t>(
+        capacity, static_cast<size_t>(offset_ - skipped_ + limit_ - emitted_)));
+  }
+  Result<bool> more = child_->NextBatch(out);
+  out->set_capacity(capacity);
+  if (!more.ok() || !more.value()) return more;
+  std::vector<uint32_t>& sel = out->sel();
+  const size_t skip =
+      std::min(sel.size(), static_cast<size_t>(offset_ - skipped_));
+  skipped_ += static_cast<int64_t>(skip);
+  sel.erase(sel.begin(), sel.begin() + static_cast<std::ptrdiff_t>(skip));
+  if (limit_ >= 0) {
+    sel.resize(std::min(sel.size(), static_cast<size_t>(limit_ - emitted_)));
+  }
+  emitted_ += static_cast<int64_t>(sel.size());
   return true;
 }
 
@@ -557,35 +436,26 @@ Status HashJoinOp::OpenImpl() {
     left_key_cols_.push_back(left_layout_.Offset(k->quant_id) +
                              static_cast<size_t>(k->column));
   }
-  matches_ = nullptr;
-  match_pos_ = 0;
   if (keep_build_ && built_) return Status::Ok();
-  XNFDB_RETURN_IF_ERROR(right_->Open());
   build_.clear();
-  Tuple row;
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
-    if (!more) break;
-    Tuple key;
-    key.reserve(right_keys_.size());
-    bool null_key = false;
-    for (const qgm::Expr* k : right_keys_) {
-      XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, right_layout_, row));
-      if (v.is_null()) null_key = true;
-      key.push_back(std::move(v));
-    }
-    if (null_key) continue;  // NULL keys never join
-    if (context() != nullptr) {
-      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(row) +
-                                                    ApproxTupleBytes(key)));
-    }
-    build_[std::move(key)].push_back(std::move(row));
-    row = Tuple();
-  }
-  if (keep_build_) {
-    right_->Close();
-    built_ = true;
-  }
+  TupleBatch batch(static_cast<size_t>(batch_size_));
+  XNFDB_RETURN_IF_ERROR(
+      DrainRows(right_.get(), &batch, [&](Tuple& row) -> Status {
+        Tuple key;
+        key.reserve(right_keys_.size());
+        for (const qgm::Expr* k : right_keys_) {
+          XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, right_layout_, row));
+          if (v.is_null()) return Status::Ok();  // NULL keys never join
+          key.push_back(std::move(v));
+        }
+        if (context() != nullptr) {
+          XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(
+              ApproxTupleBytes(row) + ApproxTupleBytes(key)));
+        }
+        build_[std::move(key)].push_back(std::move(row));
+        return Status::Ok();
+      }).status());
+  built_ = true;
   return Status::Ok();
 }
 
@@ -609,38 +479,6 @@ Result<bool> HashJoinOp::ProbeKey(const Tuple& row, Tuple* key) const {
     key->push_back(std::move(v));
   }
   return !null_key;
-}
-
-Result<bool> HashJoinOp::NextImpl(Tuple* row) {
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      const Tuple& right_row = (*matches_)[match_pos_++];
-      Tuple combined = current_left_;
-      combined.insert(combined.end(), right_row.begin(), right_row.end());
-      bool pass = true;
-      for (const qgm::Expr* p : residual_) {
-        XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, combined_layout_, combined));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      *row = std::move(combined);
-      return true;
-    }
-    XNFDB_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-    if (!more) return false;
-    if (stats_ != nullptr) ++stats_->join_probes;
-    matches_ = nullptr;
-    match_pos_ = 0;
-    Tuple key;
-    XNFDB_ASSIGN_OR_RETURN(bool usable, ProbeKey(current_left_, &key));
-    if (!usable) continue;
-    auto it = build_.find(key);
-    if (it != build_.end()) matches_ = &it->second;
-  }
 }
 
 Status HashJoinOp::ProbeInto(const Tuple& left, TupleBatch* out) {
@@ -671,15 +509,12 @@ Status HashJoinOp::ProbeInto(const Tuple& left, TupleBatch* out) {
 }
 
 Result<bool> HashJoinOp::NextBatchImpl(TupleBatch* out) {
-  if (left_batch_ == nullptr || left_batch_->capacity() != out->capacity()) {
-    left_batch_ = std::make_unique<TupleBatch>(out->capacity());
-  }
-  XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(left_batch_.get()));
+  left_batch_.set_capacity(out->capacity());
+  XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
   if (!more) return false;
-  for (size_t i = 0; i < left_batch_->ActiveCount(); ++i) {
-    XNFDB_RETURN_IF_ERROR(ProbeInto(left_batch_->Active(i), out));
+  for (size_t i = 0; i < left_batch_.ActiveCount(); ++i) {
+    XNFDB_RETURN_IF_ERROR(ProbeInto(left_batch_.Active(i), out));
   }
-  if (stats_ != nullptr) ++stats_->batches_join;
   return true;
 }
 
@@ -688,8 +523,6 @@ Status IndexJoinOp::OpenImpl() {
   if (index_ == nullptr) {
     return Status::Internal("index join without index on " + table_->name());
   }
-  matches_ = nullptr;
-  match_pos_ = 0;
   return left_->Open();
 }
 
@@ -718,28 +551,12 @@ Result<bool> IndexJoinOp::Combine(const Tuple& left, Rid rid,
   return true;
 }
 
-Result<bool> IndexJoinOp::NextImpl(Tuple* row) {
-  while (true) {
-    while (matches_ != nullptr && match_pos_ < matches_->size()) {
-      XNFDB_ASSIGN_OR_RETURN(
-          bool pass, Combine(current_left_, (*matches_)[match_pos_++], row));
-      if (pass) return true;
-    }
-    XNFDB_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-    if (!more) return false;
-    XNFDB_ASSIGN_OR_RETURN(matches_, Probe(current_left_));
-    match_pos_ = 0;
-  }
-}
-
 Result<bool> IndexJoinOp::NextBatchImpl(TupleBatch* out) {
-  if (left_batch_ == nullptr || left_batch_->capacity() != out->capacity()) {
-    left_batch_ = std::make_unique<TupleBatch>(out->capacity());
-  }
-  XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(left_batch_.get()));
+  left_batch_.set_capacity(out->capacity());
+  XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
   if (!more) return false;
-  for (size_t i = 0; i < left_batch_->ActiveCount(); ++i) {
-    const Tuple& left = left_batch_->Active(i);
+  for (size_t i = 0; i < left_batch_.ActiveCount(); ++i) {
+    const Tuple& left = left_batch_.Active(i);
     XNFDB_ASSIGN_OR_RETURN(const std::vector<Rid>* rids, Probe(left));
     if (rids == nullptr) continue;
     for (Rid rid : *rids) {
@@ -748,63 +565,57 @@ Result<bool> IndexJoinOp::NextBatchImpl(TupleBatch* out) {
       if (!pass) out->DropLastRow();
     }
   }
-  if (stats_ != nullptr) ++stats_->batches_join;
   return true;
 }
 
 Status NLJoinOp::OpenImpl() {
-  XNFDB_RETURN_IF_ERROR(left_->Open());
-  left_valid_ = false;
+  left_batch_.Clear();
+  left_pos_ = 0;
   inner_pos_ = 0;
-  if (keep_build_ && built_) return Status::Ok();
-  XNFDB_RETURN_IF_ERROR(right_->Open());
-  inner_.clear();
-  Tuple in;
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, right_->Next(&in));
-    if (!more) break;
-    if (context() != nullptr) {
-      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(in)));
-    }
-    inner_.push_back(std::move(in));
-    in = Tuple();
-  }
-  if (keep_build_) {
-    right_->Close();
+  left_done_ = false;
+  if (!(keep_build_ && built_)) {
+    XNFDB_ASSIGN_OR_RETURN(
+        inner_, DrainOperator(right_.get(), batch_size_, context()));
     built_ = true;
   }
-  return Status::Ok();
+  return left_->Open();
 }
 
-Result<bool> NLJoinOp::NextImpl(Tuple* row) {
-  while (true) {
-    if (!left_valid_) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-      if (!more) return false;
-      left_valid_ = true;
+Result<bool> NLJoinOp::NextBatchImpl(TupleBatch* out) {
+  while (!out->Full()) {
+    if (left_pos_ >= left_batch_.ActiveCount()) {
+      if (left_done_) break;
+      left_batch_.set_capacity(out->capacity());
+      XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
+      left_done_ = !more;
+      left_pos_ = 0;
       inner_pos_ = 0;
+      continue;
     }
-    while (inner_pos_ < inner_.size()) {
+    const Tuple& left = left_batch_.Active(left_pos_);
+    while (inner_pos_ < inner_.size() && !out->Full()) {
       if (stats_ != nullptr) ++stats_->join_probes;
       const Tuple& right_row = inner_[inner_pos_++];
-      Tuple combined = current_left_;
+      Tuple& combined = out->AppendRow();  // retracted below if filtered
+      combined.clear();
+      combined.reserve(left.size() + right_row.size());
+      combined.insert(combined.end(), left.begin(), left.end());
       combined.insert(combined.end(), right_row.begin(), right_row.end());
-      bool pass = true;
       for (const qgm::Expr* p : preds_) {
         XNFDB_ASSIGN_OR_RETURN(bool ok,
                                EvalPredicate(*p, combined_layout_, combined));
         if (!ok) {
-          pass = false;
+          out->DropLastRow();
           break;
         }
       }
-      if (pass) {
-        *row = std::move(combined);
-        return true;
-      }
     }
-    left_valid_ = false;
+    if (inner_pos_ >= inner_.size()) {
+      ++left_pos_;
+      inner_pos_ = 0;
+    }
   }
+  return !out->Empty();
 }
 
 // --- existential checks ----------------------------------------------------------
@@ -812,9 +623,9 @@ Result<bool> NLJoinOp::NextImpl(Tuple* row) {
 Status ExistsFilterOp::OpenImpl() {
   // Index builds are deferred to the first probe (EnsureIndex): when the
   // probe side is empty, or a governor deadline/cancel has already expired,
-  // no group index is ever paid for. Safe because every probe loop — batch,
-  // row-at-a-time, or a morsel worker's — runs on this instance's single
-  // thread (morsel workers each own a full plan clone).
+  // no group index is ever paid for. Safe because every probe loop — a
+  // morsel worker's included — runs on this instance's single thread
+  // (morsel workers each own a full plan clone).
   return child_->Open();
 }
 
@@ -934,15 +745,6 @@ Result<bool> ExistsFilterOp::RowPasses(const Tuple& row) {
   return true;
 }
 
-Result<bool> ExistsFilterOp::NextImpl(Tuple* row) {
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    XNFDB_ASSIGN_OR_RETURN(bool pass, RowPasses(*row));
-    if (pass) return true;
-  }
-}
-
 Result<bool> ExistsFilterOp::NextBatchImpl(TupleBatch* out) {
   XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -953,7 +755,6 @@ Result<bool> ExistsFilterOp::NextBatchImpl(TupleBatch* out) {
     if (pass) sel[kept++] = sel[i];
   }
   sel.resize(kept);
-  if (stats_ != nullptr) ++stats_->batches_exists;
   return true;
 }
 
@@ -965,9 +766,9 @@ Status UnionOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> UnionOp::NextImpl(Tuple* row) {
+Result<bool> UnionOp::NextBatchImpl(TupleBatch* out) {
   while (current_ < children_.size()) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(row));
+    XNFDB_ASSIGN_OR_RETURN(bool more, children_[current_]->NextBatch(out));
     if (more) return true;
     ++current_;
   }
@@ -990,89 +791,92 @@ struct AggState {
 }  // namespace
 
 Status AggOp::OpenImpl() {
-  XNFDB_RETURN_IF_ERROR(child_->Open());
   results_.clear();
   pos_ = 0;
 
-  // group key -> (representative row, per-spec aggregate state)
-  std::map<std::vector<std::string>, std::pair<Tuple, std::vector<AggState>>>
-      groups;
-  // Use an order-preserving map keyed by rendered values for determinism.
-  Tuple row;
-  while (true) {
-    Result<bool> more = child_->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    std::vector<std::string> key;
-    for (const qgm::Expr* gexpr : group_by_) {
-      Result<Value> v = EvalExpr(*gexpr, layout_, row);
-      if (!v.ok()) return v.status();
-      key.push_back(v.value().ToString());
-    }
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), row, std::vector<AggState>());
-    if (inserted) {
-      it->second.second.resize(specs_.size());
-      // One representative row is retained per group.
-      if (context() != nullptr) {
-        Status s = context()->ReserveBytes(ApproxTupleBytes(row));
-        if (!s.ok()) return s;
-      }
-    }
-    std::vector<AggState>& states = it->second.second;
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      const AggSpec& spec = specs_[i];
-      if (!spec.is_agg) continue;
-      AggState& st = states[i];
-      Value v;
-      if (spec.arg != nullptr) {
-        Result<Value> r = EvalExpr(*spec.arg, layout_, row);
-        if (!r.ok()) return r.status();
-        v = r.value();
-        if (v.is_null()) continue;  // aggregates skip NULLs
-      }
-      ++st.count;
-      st.any = true;
-      if (spec.arg != nullptr) {
-        if (st.min.is_null() || v < st.min) st.min = v;
-        if (st.max.is_null() || st.max < v) st.max = v;
-        if (v.type() == DataType::kInt || v.type() == DataType::kDouble) {
-          st.dsum += v.AsDouble();
-          if (st.sum.is_null()) {
-            st.sum = v;
-          } else if (st.sum.type() == DataType::kInt &&
-                     v.type() == DataType::kInt) {
-            st.sum = Value(st.sum.AsInt() + v.AsInt());
-          } else {
-            st.sum = Value(st.sum.AsDouble() + v.AsDouble());
+  // One group per distinct key: the key, a representative row and the
+  // per-spec aggregate state.
+  struct Group {
+    Tuple key;
+    Tuple rep;
+    std::vector<AggState> states;
+  };
+  std::vector<Group> groups;
+  std::unordered_map<Tuple, size_t, TupleHash, TupleEq> index;
+  TupleBatch batch(static_cast<size_t>(batch_size_));
+  XNFDB_RETURN_IF_ERROR(
+      DrainRows(child_.get(), &batch, [&](Tuple& row) -> Status {
+        Tuple key;
+        key.reserve(group_by_.size());
+        for (const qgm::Expr* gexpr : group_by_) {
+          XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*gexpr, layout_, row));
+          key.push_back(std::move(v));
+        }
+        auto [it, inserted] = index.try_emplace(key, groups.size());
+        if (inserted) {
+          // One representative row is retained per group.
+          if (context() != nullptr) {
+            XNFDB_RETURN_IF_ERROR(
+                context()->ReserveBytes(ApproxTupleBytes(row)));
+          }
+          groups.push_back(
+              {std::move(key), row, std::vector<AggState>(specs_.size())});
+        }
+        std::vector<AggState>& states = groups[it->second].states;
+        for (size_t i = 0; i < specs_.size(); ++i) {
+          const AggSpec& spec = specs_[i];
+          if (!spec.is_agg) continue;
+          AggState& st = states[i];
+          Value v;
+          if (spec.arg != nullptr) {
+            XNFDB_ASSIGN_OR_RETURN(v, EvalExpr(*spec.arg, layout_, row));
+            if (v.is_null()) continue;  // aggregates skip NULLs
+          }
+          ++st.count;
+          st.any = true;
+          if (spec.arg != nullptr) {
+            if (st.min.is_null() || v < st.min) st.min = v;
+            if (st.max.is_null() || st.max < v) st.max = v;
+            if (v.type() == DataType::kInt || v.type() == DataType::kDouble) {
+              st.dsum += v.AsDouble();
+              if (st.sum.is_null()) {
+                st.sum = v;
+              } else if (st.sum.type() == DataType::kInt &&
+                         v.type() == DataType::kInt) {
+                st.sum = Value(st.sum.AsInt() + v.AsInt());
+              } else {
+                st.sum = Value(st.sum.AsDouble() + v.AsDouble());
+              }
+            }
           }
         }
-      }
-    }
-  }
+        return Status::Ok();
+      }).status());
 
   // Global aggregation over an empty input still yields one row.
   if (groups.empty() && group_by_.empty() && !specs_.empty()) {
     bool all_aggs = true;
     for (const AggSpec& s : specs_) all_aggs &= s.is_agg;
     if (all_aggs) {
-      groups[{}] = {Tuple(), std::vector<AggState>(specs_.size())};
+      groups.push_back({Tuple(), Tuple(), std::vector<AggState>(specs_.size())});
     }
   }
 
-  for (auto& [key, entry] : groups) {
-    auto& [rep, states] = entry;
+  // Ascending key order: deterministic whatever order the input arrives in.
+  std::sort(groups.begin(), groups.end(),
+            [](const Group& a, const Group& b) { return a.key < b.key; });
+  for (const Group& g : groups) {
     Tuple out;
     out.reserve(specs_.size());
     for (size_t i = 0; i < specs_.size(); ++i) {
       const AggSpec& spec = specs_[i];
       if (!spec.is_agg) {
-        Result<Value> v = EvalExpr(*spec.group_expr, layout_, rep);
-        if (!v.ok()) return v.status();
-        out.push_back(v.value());
+        XNFDB_ASSIGN_OR_RETURN(Value v,
+                               EvalExpr(*spec.group_expr, layout_, g.rep));
+        out.push_back(std::move(v));
         continue;
       }
-      const AggState& st = states[i];
+      const AggState& st = g.states[i];
       if (spec.func == "COUNT") {
         out.push_back(Value(st.count));
       } else if (spec.func == "SUM") {
@@ -1093,12 +897,9 @@ Status AggOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> AggOp::NextImpl(Tuple* row) {
-  if (pos_ >= results_.size()) return false;
-  *row = results_[pos_++];
-  return true;
+Result<bool> AggOp::NextBatchImpl(TupleBatch* out) {
+  return ReadRows(results_, &pos_, out) > 0;
 }
-
 
 // --- EXPLAIN rendering ---------------------------------------------------------
 
@@ -1164,7 +965,7 @@ void MaterializedOp::ExplainImpl(int depth, std::string* out) const {
 void MatViewScanOp::ExplainImpl(int depth, std::string* out) const {
   SelfLine(depth,
            "MatViewScan(matview=" + view_name_ + ", " +
-               std::to_string(rows_->size()) + " rows)",
+               std::to_string(rows().size()) + " rows)",
            out);
 }
 

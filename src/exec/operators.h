@@ -1,15 +1,17 @@
 // Physical operators of the Query Evaluation System (paper Sect. 3.1).
 //
 // Execution follows the Starburst "table queue" style: demand-driven,
-// pipelined iterators (Open / Next / Close). Each QEP operator consumes one
-// or more input streams and produces an output stream of tuples. Shared
+// pipelined iterators (Open / NextBatch / Close). Each QEP operator consumes
+// one or more input streams and produces an output stream of tuple batches
+// (exec/batch.h); NextBatch is the only way rows leave an operator. Shared
 // common subexpressions are realized by Spool buffers: a producer is run
 // once and any number of readers iterate the materialized result.
 //
-// The public Open/Next/Close entry points are non-virtual wrappers that
-// maintain per-operator actuals (loop and row counts always; inclusive wall
-// time in analyze mode) for EXPLAIN ANALYZE; subclasses implement the
-// protected *Impl hooks.
+// The public Open/NextBatch/Close entry points are non-virtual wrappers
+// that check the query's governance context once per call and maintain
+// per-operator actuals (loop, row and batch counts always; inclusive wall
+// time in analyze and profile mode) for EXPLAIN ANALYZE and the always-on
+// profile; subclasses implement the protected *Impl hooks.
 
 #ifndef XNFDB_EXEC_OPERATORS_H_
 #define XNFDB_EXEC_OPERATORS_H_
@@ -80,13 +82,6 @@ struct ExecStats {
   StatCounter batches_emitted;    // batches delivered into output streams
   StatCounter morsels_claimed;    // scan morsels claimed by workers
   StatCounter fixpoint_rounds;    // semi-naive rounds of recursive COs
-  // Per-operator-kind native batch counts (vectorization visibility).
-  StatCounter batches_scan;
-  StatCounter batches_spool;
-  StatCounter batches_filter;
-  StatCounter batches_project;
-  StatCounter batches_join;
-  StatCounter batches_exists;
 
   std::string ToString() const;
   // Adds every counter into `registry` under `exec.<counter>` (the unified
@@ -118,12 +113,9 @@ class Operator {
   // Non-virtual lifecycle entry points: delegate to the *Impl hooks while
   // maintaining this operator's actuals.
   Status Open();
-  // Produces the next row into `*row`; returns false at end of stream.
-  Result<bool> Next(Tuple* row);
-  // Produces the next batch into `*out` (cleared first); returns false at
-  // end of stream. A true return with ActiveCount() == 0 is a fully
-  // filtered batch — keep pulling. Operators without a native batch
-  // implementation fall back to looping NextImpl.
+  // Produces the next batch into `*out` (cleared first), appending up to
+  // out->capacity() rows; returns false at end of stream. A true return
+  // with ActiveCount() == 0 is a fully filtered batch — keep pulling.
   Result<bool> NextBatch(TupleBatch* out);
   void Close();
 
@@ -133,8 +125,9 @@ class Operator {
   void Explain(int depth, std::string* out) const { ExplainImpl(depth, out); }
 
   // Per-operator execution totals. `ns` is inclusive of children (time is
-  // measured around this operator's Next calls, which pull from children),
-  // and is only collected in analyze mode; rows/loops are always counted.
+  // measured around this operator's Open/NextBatch/Close calls, which pull
+  // from children), and is only collected in analyze or profile mode;
+  // rows/loops/batches are always counted.
   struct Actuals {
     int64_t loops = 0;    // Open calls
     int64_t rows = 0;     // rows produced, across all loops
@@ -148,10 +141,8 @@ class Operator {
   void EnableAnalyze();
   bool analyze_enabled() const { return analyze_; }
 
-  // Always-on profiling (SYS$QUERY_PROFILES): like analyze mode but cheap —
-  // wall time is measured only around Open/NextBatch (two clock reads per
-  // ~1k-row batch), never around per-row Next calls. Rows pulled
-  // row-at-a-time contribute counters but no time.
+  // Always-on profiling (SYS$QUERY_PROFILES): the same batch-granularity
+  // wall time as analyze mode (two clock reads per ~1k-row batch).
   void EnableProfile();
   bool profile_enabled() const { return profile_; }
 
@@ -173,9 +164,8 @@ class Operator {
 
   // Attaches the query's resource-governance context to this operator and
   // its subtree. The non-virtual wrappers then check it cooperatively: a
-  // full Check() (cancel + deadline) at every Open/NextBatch, a cheap
-  // cancellation check per Next row with a full check every ~1k rows. `ctx`
-  // must outlive execution; null detaches.
+  // full Check() (cancel + deadline) at every Open/NextBatch. `ctx` must
+  // outlive execution; null detaches.
   void AttachContext(QueryContext* ctx);
 
   // Direct children of this operator in the plan tree.
@@ -193,10 +183,7 @@ class Operator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  virtual Result<bool> NextImpl(Tuple* row) = 0;
-  // Default adapter: loops NextImpl until the batch is full. Native batch
-  // operators override this.
-  virtual Result<bool> NextBatchImpl(TupleBatch* out);
+  virtual Result<bool> NextBatchImpl(TupleBatch* out) = 0;
   virtual void CloseImpl() = 0;
   virtual void ExplainImpl(int depth, std::string* out) const = 0;
 
@@ -215,7 +202,6 @@ class Operator {
   Actuals actuals_;
   double est_rows_ = -1.0;  // planner estimate; < 0 = none
   QueryContext* ctx_ = nullptr;
-  int64_t gov_tick_ = 0;  // rows since the last full deadline check (Next)
 };
 
 // Explain helper: indented line.
@@ -232,11 +218,34 @@ uint64_t PlanShapeHash(const std::string& shape);
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-// Drains `op` completely (Open/Next*/Close) into a vector. `batch_size`
-// selects the pull granularity; <= 1 keeps the classic row loop. When `ctx`
-// is set, every drained row's bytes are charged against its memory budget
-// (drains materialize: spools, existential group builds).
-Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size = 1,
+// Opens `op`, pulls it to end of stream through `*batch` and closes it,
+// handing every active row to `fn` (Tuple& -> Status), which may move from
+// it. Returns the number of batches pulled. This is the one loop that
+// consumes a whole operator: executor outputs, spool and group builds,
+// join builds, sort and aggregate inputs, fixpoint rounds, matview serves
+// and deltas.
+template <typename Fn>
+Result<int64_t> DrainRows(Operator* op, TupleBatch* batch, const Fn& fn) {
+  XNFDB_RETURN_IF_ERROR(op->Open());
+  int64_t batches = 0;
+  while (true) {
+    XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(batch));
+    if (!more) break;
+    ++batches;
+    for (size_t i = 0; i < batch->ActiveCount(); ++i) {
+      XNFDB_RETURN_IF_ERROR(fn(batch->Active(i)));
+    }
+  }
+  op->Close();
+  return batches;
+}
+
+// Drains `op` completely into a vector, `batch_size` rows per pull. When
+// `ctx` is set, every drained row's bytes are charged against its memory
+// budget (drains materialize: spools, existential group builds, sort and
+// nested-loop inner sides).
+Result<std::vector<Tuple>> DrainOperator(Operator* op,
+                                         int batch_size = kDefaultBatchSize,
                                          QueryContext* ctx = nullptr);
 
 // --- sources ---------------------------------------------------------------
@@ -277,7 +286,6 @@ class ScanOp : public Operator {
     claimed_ = 0;
     return Status::Ok();
   }
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
@@ -309,7 +317,7 @@ class VirtualScanOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { rows_.clear(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -332,7 +340,7 @@ class IndexScanOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -365,7 +373,7 @@ class RangeScanOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -379,43 +387,6 @@ class RangeScanOp : public Operator {
   bool hi_inclusive_;
   ExecStats* stats_;
   std::vector<Rid> rids_;
-  size_t pos_ = 0;
-};
-
-// Reader over a server-side materialized view (src/matview/): serves the
-// stored rows of one output stream without re-running the join tree. Like
-// MaterializedOp but with matview provenance: Kind/ShapeToken carry the
-// view name, so SYS$PLAN_HISTORY witnesses the plan flip and EXPLAIN shows
-// `matview=<name>`.
-class MatViewScanOp : public Operator {
- public:
-  MatViewScanOp(std::string view_name,
-                std::shared_ptr<const std::vector<Tuple>> rows,
-                ExecStats* stats)
-      : view_name_(std::move(view_name)),
-        rows_(std::move(rows)),
-        stats_(stats) {}
-
-  const char* Kind() const override { return "matview_scan"; }
-  void ShapeToken(std::string* out) const override {
-    *out += "matview_scan:" + view_name_;
-  }
-
- protected:
-  Status OpenImpl() override {
-    pos_ = 0;
-    return Status::Ok();
-  }
-  Result<bool> NextImpl(Tuple* row) override;
-  Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override {}
-
-  void ExplainImpl(int depth, std::string* out) const override;
-
- private:
-  std::string view_name_;
-  std::shared_ptr<const std::vector<Tuple>> rows_;
-  ExecStats* stats_;
   size_t pos_ = 0;
 };
 
@@ -437,11 +408,12 @@ class MaterializedOp : public Operator {
     pos_ = 0;
     return Status::Ok();
   }
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
   void ExplainImpl(int depth, std::string* out) const override;
+
+  const std::vector<Tuple>& rows() const { return *rows_; }
 
  private:
   std::shared_ptr<const std::vector<Tuple>> rows_;
@@ -471,16 +443,40 @@ class FrontierOp : public MaterializedOp {
   std::string component_;
 };
 
+// Reader over a server-side materialized view (src/matview/): serves the
+// stored rows of one output stream without re-running the join tree. A
+// spool reader with matview provenance: Kind/ShapeToken carry the view
+// name, so SYS$PLAN_HISTORY witnesses the plan flip and EXPLAIN shows
+// `matview=<name>`.
+class MatViewScanOp : public MaterializedOp {
+ public:
+  MatViewScanOp(std::string view_name,
+                std::shared_ptr<const std::vector<Tuple>> rows,
+                ExecStats* stats)
+      : MaterializedOp(std::move(rows), stats),
+        view_name_(std::move(view_name)) {}
+
+  const char* Kind() const override { return "matview_scan"; }
+  void ShapeToken(std::string* out) const override {
+    *out += "matview_scan:" + view_name_;
+  }
+
+ protected:
+  void ExplainImpl(int depth, std::string* out) const override;
+
+ private:
+  std::string view_name_;
+};
+
 // --- row transforms ----------------------------------------------------------
 
 class FilterOp : public Operator {
  public:
   FilterOp(OperatorPtr child, std::vector<const qgm::Expr*> preds,
-           Layout layout, ExecStats* stats = nullptr)
+           Layout layout)
       : child_(std::move(child)),
         preds_(std::move(preds)),
-        layout_(std::move(layout)),
-        stats_(stats) {}
+        layout_(std::move(layout)) {}
 
   std::vector<Operator*> Children() override { return {child_.get()}; }
   ScanOp* MorselDriver() override { return child_->MorselDriver(); }
@@ -488,7 +484,6 @@ class FilterOp : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(Tuple* row) override;
   // Pulls the child's batch into `out` and deselects failing rows in the
   // selection vector — no row copies.
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -500,17 +495,15 @@ class FilterOp : public Operator {
   OperatorPtr child_;
   std::vector<const qgm::Expr*> preds_;
   Layout layout_;
-  ExecStats* stats_;
 };
 
 class ProjectOp : public Operator {
  public:
   ProjectOp(OperatorPtr child, std::vector<const qgm::Expr*> exprs,
-            Layout layout, ExecStats* stats = nullptr)
+            Layout layout)
       : child_(std::move(child)),
         exprs_(std::move(exprs)),
-        layout_(std::move(layout)),
-        stats_(stats) {}
+        layout_(std::move(layout)) {}
 
   std::vector<Operator*> Children() override { return {child_.get()}; }
   ScanOp* MorselDriver() override { return child_->MorselDriver(); }
@@ -518,7 +511,6 @@ class ProjectOp : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
@@ -528,8 +520,7 @@ class ProjectOp : public Operator {
   OperatorPtr child_;
   std::vector<const qgm::Expr*> exprs_;
   Layout layout_;
-  ExecStats* stats_;
-  std::unique_ptr<TupleBatch> in_;  // child-side batch (batch mode only)
+  TupleBatch in_;  // child-side batch
 };
 
 class DistinctOp : public Operator {
@@ -544,7 +535,8 @@ class DistinctOp : public Operator {
     seen_.clear();
     return child_->Open();
   }
-  Result<bool> NextImpl(Tuple* row) override;
+  // Deselects the rows of the child's batch seen before.
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -554,29 +546,36 @@ class DistinctOp : public Operator {
   std::unordered_map<Tuple, bool, TupleHash, TupleEq> seen_;
 };
 
+// Drains its child at Open (`batch_size` rows per pull) and sorts stably.
 class SortOp : public Operator {
  public:
-  SortOp(OperatorPtr child, std::vector<std::pair<int, bool>> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
+  SortOp(OperatorPtr child, std::vector<std::pair<int, bool>> keys,
+         int batch_size = kDefaultBatchSize)
+      : child_(std::move(child)),
+        keys_(std::move(keys)),
+        batch_size_(batch_size) {}
 
   std::vector<Operator*> Children() override { return {child_.get()}; }
   const char* Kind() const override { return "sort"; }
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
-  void CloseImpl() override { child_->Close(); }
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
+  void CloseImpl() override {}  // the drain at Open closed the child
 
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
   OperatorPtr child_;
   std::vector<std::pair<int, bool>> keys_;  // (column, descending)
+  int batch_size_;
   std::vector<Tuple> rows_;
   size_t pos_ = 0;
 };
 
-// Emits at most `limit` rows (-1 = unlimited) after skipping `offset`.
+// Emits at most `limit` rows (-1 = unlimited) after skipping `offset`. It
+// asks its child for no larger a batch than it still needs, so a scan,
+// filter or projection below reads exactly offset + limit rows.
 class LimitOp : public Operator {
  public:
   LimitOp(OperatorPtr child, int64_t limit, int64_t offset)
@@ -591,7 +590,7 @@ class LimitOp : public Operator {
     skipped_ = 0;
     return child_->Open();
   }
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -614,7 +613,8 @@ class HashJoinOp : public Operator {
              std::vector<const qgm::Expr*> left_keys,
              std::vector<const qgm::Expr*> right_keys,
              std::vector<const qgm::Expr*> residual, Layout left_layout,
-             Layout right_layout, Layout combined_layout, ExecStats* stats)
+             Layout right_layout, Layout combined_layout, ExecStats* stats,
+             int batch_size = kDefaultBatchSize)
       : left_(std::move(left)),
         right_(std::move(right)),
         left_keys_(std::move(left_keys)),
@@ -623,7 +623,8 @@ class HashJoinOp : public Operator {
         left_layout_(std::move(left_layout)),
         right_layout_(std::move(right_layout)),
         combined_layout_(std::move(combined_layout)),
-        stats_(stats) {}
+        stats_(stats),
+        batch_size_(batch_size) {}
 
   std::vector<Operator*> Children() override {
     return {left_.get(), right_.get()};
@@ -639,15 +640,13 @@ class HashJoinOp : public Operator {
   void KeepBuild() { keep_build_ = true; }
 
  protected:
+  // Drains the right input into the hash table (`batch_size` rows per
+  // pull), then opens the probe side.
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
   // Probes one whole left batch per call, emitting every match (output may
   // exceed the nominal capacity — no probe state is carried across calls).
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override {
-    left_->Close();
-    if (!keep_build_) right_->Close();
-  }
+  void CloseImpl() override { left_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -667,6 +666,7 @@ class HashJoinOp : public Operator {
   Layout right_layout_;
   Layout combined_layout_;
   ExecStats* stats_;
+  int batch_size_;
   bool keep_build_ = false;
   bool built_ = false;  // build_ holds the right input (keep_build_ only)
 
@@ -674,10 +674,7 @@ class HashJoinOp : public Operator {
   // All-ColRef probe keys resolve to flat column offsets once at Open.
   std::vector<size_t> left_key_cols_;
   bool left_keys_flat_ = false;
-  Tuple current_left_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  std::unique_ptr<TupleBatch> left_batch_;  // probe-side batch (batch mode)
+  TupleBatch left_batch_;  // probe-side batch
 };
 
 // Index nested-loop join: for each left row, evaluates `outer_key` and
@@ -711,7 +708,6 @@ class IndexJoinOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
   // Probes one whole left batch per call, emitting every match (output may
   // exceed the nominal capacity, as in HashJoinOp).
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -738,23 +734,24 @@ class IndexJoinOp : public Operator {
   ExecStats* stats_;
 
   const HashIndex* index_ = nullptr;
-  Tuple current_left_;
-  const std::vector<Rid>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  std::unique_ptr<TupleBatch> left_batch_;  // probe-side batch (batch mode)
+  TupleBatch left_batch_;  // probe-side batch
 };
 
-// Nested-loop join (inner side materialized) for non-equi predicates.
+// Nested-loop join for non-equi predicates: the inner side is drained at
+// Open (`batch_size` rows per pull); output batches stop at capacity, and
+// the position within the current left batch carries across calls, since
+// one left batch times the inner side can be far larger than a batch.
 class NLJoinOp : public Operator {
  public:
   NLJoinOp(OperatorPtr left, OperatorPtr right,
            std::vector<const qgm::Expr*> preds, Layout combined_layout,
-           ExecStats* stats)
+           ExecStats* stats, int batch_size = kDefaultBatchSize)
       : left_(std::move(left)),
         right_(std::move(right)),
         preds_(std::move(preds)),
         combined_layout_(std::move(combined_layout)),
-        stats_(stats) {}
+        stats_(stats),
+        batch_size_(batch_size) {}
 
   std::vector<Operator*> Children() override {
     return {left_.get(), right_.get()};
@@ -766,11 +763,8 @@ class NLJoinOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
-  void CloseImpl() override {
-    left_->Close();
-    if (!keep_build_) right_->Close();
-  }
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
+  void CloseImpl() override { left_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -780,13 +774,15 @@ class NLJoinOp : public Operator {
   std::vector<const qgm::Expr*> preds_;
   Layout combined_layout_;
   ExecStats* stats_;
+  int batch_size_;
   bool keep_build_ = false;
   bool built_ = false;  // inner_ holds the right input (keep_build_ only)
 
   std::vector<Tuple> inner_;
-  Tuple current_left_;
-  size_t inner_pos_ = 0;
-  bool left_valid_ = false;
+  TupleBatch left_batch_;  // probe-side batch
+  size_t left_pos_ = 0;   // active row of left_batch_ being joined
+  size_t inner_pos_ = 0;  // next inner row to pair with it
+  bool left_done_ = false;
 };
 
 // --- existential checks --------------------------------------------------------
@@ -842,7 +838,6 @@ class ExistsFilterOp : public Operator {
   // governor deadline/cancel that fires before the first row — never pays
   // the build cost.
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
@@ -880,7 +875,7 @@ class UnionOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {
     for (auto& c : children_) c->Close();
   }
@@ -903,22 +898,28 @@ struct AggSpec {
   const qgm::Expr* group_expr = nullptr;
 };
 
+// Hash aggregation: drains its child at Open (`batch_size` rows per pull),
+// grouping rows by the values of the GROUP BY expressions under value
+// equality (TupleHash/TupleEq: INT 2 and DOUBLE 2.0 are one group, NULLs
+// group together). Groups come out in ascending key order.
 class AggOp : public Operator {
  public:
   AggOp(OperatorPtr child, std::vector<const qgm::Expr*> group_by,
-        std::vector<AggSpec> specs, Layout layout)
+        std::vector<AggSpec> specs, Layout layout,
+        int batch_size = kDefaultBatchSize)
       : child_(std::move(child)),
         group_by_(std::move(group_by)),
         specs_(std::move(specs)),
-        layout_(std::move(layout)) {}
+        layout_(std::move(layout)),
+        batch_size_(batch_size) {}
 
   std::vector<Operator*> Children() override { return {child_.get()}; }
   const char* Kind() const override { return "agg"; }
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
-  void CloseImpl() override { child_->Close(); }
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
+  void CloseImpl() override {}  // the drain at Open closed the child
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -927,6 +928,7 @@ class AggOp : public Operator {
   std::vector<const qgm::Expr*> group_by_;
   std::vector<AggSpec> specs_;
   Layout layout_;
+  int batch_size_;
   std::vector<Tuple> results_;
   size_t pos_ = 0;
 };

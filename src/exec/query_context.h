@@ -84,9 +84,9 @@ class QueryContext {
   int64_t elapsed_us() const { return NowUs() - start_us_; }
 
   // Liveness heartbeat for the stuck-query watchdog: operator wrappers
-  // tick at batch boundaries (every Open/NextBatch, and every ~1k rows on
-  // the Volcano path). A running query whose tick count stops advancing is
-  // stalled — wedged inside one call, not merely slow between rows.
+  // tick at batch boundaries (every Open/NextBatch). A running query whose
+  // tick count stops advancing is stalled — wedged inside one call, not
+  // merely slow between rows.
   void Tick() { progress_ticks_.fetch_add(1, std::memory_order_relaxed); }
   int64_t progress_ticks() const {
     return progress_ticks_.load(std::memory_order_relaxed);

@@ -495,6 +495,7 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
   // transient delta table (no indexes — the planner's OverrideFor guards
   // keep it on a plain scan) and drain the pre-dedup derivations.
   int64_t drained = 0;
+  TupleBatch batch(static_cast<size_t>(ResolveBatchSize(0)));
   auto drain = [&](const std::vector<Tuple>& delta_rows,
                    std::map<int, std::vector<Tuple>>* out) -> Status {
     out->clear();
@@ -508,31 +509,21 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
     ExecStats stats;
     PlanOptions popts;
     popts.table_overrides = &overrides;
+    popts.batch_size = static_cast<int>(batch.capacity());
     Planner planner(&catalog, e->graph.get(), popts, &stats);
     for (int oi : affected) {
       const qgm::TopOutput& o = top->outputs[oi];
       XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, planner.BoxIterator(o.box_id));
-      XNFDB_RETURN_IF_ERROR(op->Open());
       std::vector<Tuple>& bucket = (*out)[oi];
-      Tuple row;
-      Status st = Status::Ok();
-      while (true) {
-        Result<bool> more = op->Next(&row);
-        if (!more.ok()) {
-          st = more.status();
-          break;
-        }
-        if (!more.value()) break;
-        bucket.push_back(o.cols.empty() ? std::move(row)
-                                        : ProjectCols(row, o.cols));
-        row = Tuple();
-        if (++drained > config_.max_rows) {
-          st = Status::ResourceExhausted("matview: delta too large");
-          break;
-        }
-      }
-      op->Close();
-      XNFDB_RETURN_IF_ERROR(st);
+      XNFDB_RETURN_IF_ERROR(
+          DrainRows(op.get(), &batch, [&](Tuple& row) -> Status {
+            bucket.push_back(o.cols.empty() ? std::move(row)
+                                            : ProjectCols(row, o.cols));
+            if (++drained > config_.max_rows) {
+              return Status::ResourceExhausted("matview: delta too large");
+            }
+            return Status::Ok();
+          }).status());
     }
     return Status::Ok();
   };

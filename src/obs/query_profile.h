@@ -30,9 +30,9 @@ namespace obs {
 
 // Totals of one operator class within one query execution. `incl_us` is
 // inclusive of children; `self_us` subtracts the children's inclusive time
-// (clamped at zero). Wall times are batch-granularity: operators driven
-// row-at-a-time (batch_size 1, or below a non-native-batch operator)
-// contribute rows/loops but no time outside analyze mode.
+// (clamped at zero). Wall times are batch-granularity: every operator
+// produces batches, so every operator reports time (the input scans of
+// sorts, aggregates and join builds included).
 struct OpProfile {
   std::string op;  // operator class ("scan", "hash_join", ...)
   int64_t loops = 0;

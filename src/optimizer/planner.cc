@@ -52,9 +52,9 @@ class OneRowOp : public Operator {
     done_ = false;
     return Status::Ok();
   }
-  Result<bool> NextImpl(Tuple* row) override {
+  Result<bool> NextBatchImpl(TupleBatch* out) override {
     if (done_) return false;
-    row->clear();
+    out->AppendRow().clear();
     done_ = true;
     return true;
   }
@@ -352,8 +352,7 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
   if (!pushed.empty()) {
     Layout layout;
     layout.Add(q.id, 0, source->HeadArity());
-    op = std::make_unique<FilterOp>(std::move(op), std::move(pushed), layout,
-                                    stats_);
+    op = std::make_unique<FilterOp>(std::move(op), std::move(pushed), layout);
     op->SetEstimatedRows(total);
   }
   // Sources estimated at creation (scans, spools) keep their own numbers.
@@ -634,14 +633,13 @@ Result<OperatorPtr> Planner::BuildJoinTree(
       auto join = std::make_unique<HashJoinOp>(
           std::move(current), std::move(inner), std::move(left_keys),
           std::move(right_keys), std::move(residual), current_layout,
-          inner_layout, combined, stats_);
+          inner_layout, combined, stats_, options_.batch_size);
       if (keep_build) join->KeepBuild();
       current = std::move(join);
     } else {
-      auto join = std::make_unique<NLJoinOp>(std::move(current),
-                                             std::move(inner),
-                                             std::move(residual), combined,
-                                             stats_);
+      auto join = std::make_unique<NLJoinOp>(
+          std::move(current), std::move(inner), std::move(residual), combined,
+          stats_, options_.batch_size);
       if (keep_build) join->KeepBuild();
       current = std::move(join);
     }
@@ -659,8 +657,8 @@ Result<OperatorPtr> Planner::BuildJoinTree(
   }
   if (!leftover.empty()) {
     for (const Expr* p : leftover) card *= PredSelectivity(*p);
-    current = std::make_unique<FilterOp>(
-        std::move(current), std::move(leftover), current_layout, stats_);
+    current = std::make_unique<FilterOp>(std::move(current),
+                                         std::move(leftover), current_layout);
     current->SetEstimatedRows(std::max(card, 1.0));
   }
   *layout = current_layout;
@@ -817,7 +815,8 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
     }
     const double child_est = current->estimated_rows();
     current = std::make_unique<AggOp>(std::move(current), std::move(group_by),
-                                      std::move(specs), layout);
+                                      std::move(specs), layout,
+                                      options_.batch_size);
     // Scalar aggregation collapses to one row; grouped keeps ~10% of input.
     current->SetEstimatedRows(
         box.group_by.empty()
@@ -828,7 +827,7 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
     std::vector<const Expr*> exprs;
     for (const qgm::HeadColumn& h : box.head) exprs.push_back(h.expr.get());
     current = std::make_unique<ProjectOp>(std::move(current),
-                                          std::move(exprs), layout, stats_);
+                                          std::move(exprs), layout);
     if (child_est >= 0) current->SetEstimatedRows(child_est);
   }
 
@@ -839,7 +838,8 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
   }
   if (!box.order_by.empty()) {
     const double child_est = current->estimated_rows();
-    current = std::make_unique<SortOp>(std::move(current), box.order_by);
+    current = std::make_unique<SortOp>(std::move(current), box.order_by,
+                                       options_.batch_size);
     if (child_est >= 0) current->SetEstimatedRows(child_est);
   }
   if (box.limit >= 0 || box.offset > 0) {

@@ -50,12 +50,13 @@ struct PlanOptions {
   bool naive_exists = false;  // per-outer-row subquery scans (Sect. 3.2 naive)
   bool spool_shared = true;   // false => recompute shared boxes per consumer
   // EXPLAIN ANALYZE: operators returned by BoxIterator measure inclusive
-  // wall time per Next call (row/loop counting is always on).
+  // wall time per NextBatch call (row/loop counting is always on).
   bool analyze = false;
-  // Pull granularity for plan-time materialization (spools, existential
-  // group builds). <= 1 drains row-at-a-time; the executor passes its
+  // Rows per batch for plan-time materialization (spools, existential
+  // group builds) and for the input drains of the operators it builds
+  // (join builds, sort and aggregate inputs). The executor passes its
   // resolved ExecOptions::batch_size through here.
-  int batch_size = 1;
+  int batch_size = kDefaultBatchSize;
   // Resource-governance context (exec/query_context.h), not owned; must
   // outlive the planner and its operators. When set, BoxIterator attaches
   // it to every returned tree and plan-time materializations (spools,

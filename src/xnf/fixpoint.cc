@@ -241,27 +241,6 @@ Result<std::vector<int>> ProjectionIndexes(const Box& box,
   return out;
 }
 
-// Pulls every row of the open `plan` into `fn(Tuple&)`, batch-wise unless
-// `batch` is null.
-template <typename Fn>
-Status PullRows(Operator* plan, TupleBatch* batch, const Fn& fn) {
-  if (batch == nullptr) {
-    Tuple row;
-    while (true) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, plan->Next(&row));
-      if (!more) return Status::Ok();
-      XNFDB_RETURN_IF_ERROR(fn(row));
-    }
-  }
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, plan->NextBatch(batch));
-    if (!more) return Status::Ok();
-    for (size_t i = 0; i < batch->ActiveCount(); ++i) {
-      XNFDB_RETURN_IF_ERROR(fn(batch->Active(i)));
-    }
-  }
-}
-
 // Hash and equality of connection stream items by their partner tids: a
 // set of stream positions, probed with a tid vector.
 struct ConnKey {
@@ -325,11 +304,9 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
 
   // 2. Semi-naive rounds: join each frontier through the delta plans until
   // no round reaches a new row. A row enters a frontier at most once, so
-  // more than reached + 1 rounds means that invariant broke.
-  std::unique_ptr<TupleBatch> batch;
-  if (batch_size > 1) {
-    batch = std::make_unique<TupleBatch>(static_cast<size_t>(batch_size));
-  }
+  // more than reached + 1 rounds means that invariant broke. One batch
+  // serves every delta plan in every round.
+  TupleBatch batch(static_cast<size_t>(batch_size));
   int64_t rounds = 0;
   while (true) {
     bool any = false;
@@ -356,9 +333,8 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
         if (options.collect_profile) d.plan->EnableProfile();
       }
       const bool taken = d.rel->taken;
-      XNFDB_RETURN_IF_ERROR(d.plan->Open());
       XNFDB_RETURN_IF_ERROR(
-          PullRows(d.plan.get(), batch.get(), [&](Tuple& row) -> Status {
+          DrainRows(d.plan.get(), &batch, [&](Tuple& row) -> Status {
             if (ctx != nullptr) {
               XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
             }
@@ -385,8 +361,7 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
               if (taken) d.conns.push_back(pos);
             }
             return Status::Ok();
-          }));
-      d.plan->Close();
+          }).status());
     }
   }
   result.stats.fixpoint_rounds += rounds;

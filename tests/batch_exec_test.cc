@@ -1,7 +1,7 @@
 // Tests of vectorized batch execution (ExecOptions::batch_size) and
 // morsel-driven scan parallelism (ExecOptions::morsel_workers): results
-// must be identical at every batch size — batch_size=1 reproduces
-// tuple-at-a-time execution exactly — and batch boundaries (empty input,
+// must be identical at every batch size — batch_size=1 runs one-row
+// batches through the same code — and batch boundaries (empty input,
 // exactly batch_size rows, batch_size ± 1, fully filtered batches) must
 // not lose or duplicate rows.
 
@@ -62,8 +62,8 @@ Result<QueryResult> RunAt(Database* db, const std::string& sql,
   return db->Query(sql, {}, opts);
 }
 
-// Row counts must agree between tuple-at-a-time and batched execution for
-// every table size around a batch boundary, including the empty table.
+// Row counts must agree between one-row and four-row batches for every
+// table size around a batch boundary, including the empty table.
 TEST(BatchExecTest, BatchBoundariesPreserveRowCounts) {
   const int kBatch = 4;
   for (int n : {0, 1, kBatch - 1, kBatch, kBatch + 1, 3 * kBatch}) {
@@ -105,7 +105,8 @@ TEST(BatchExecTest, WholeBatchFilteredBySelectionVector) {
   EXPECT_TRUE(empty.value().rows().empty());
 }
 
-// Batched runs actually emit batches (visible in the run's ExecStats).
+// Batched runs actually emit batches (visible in the run's ExecStats);
+// batch_size 1 emits one-row batches through the same code.
 TEST(BatchExecTest, BatchedRunReportsBatchesEmitted) {
   Database db;
   LoadCounterTable(&db, 10);
@@ -114,7 +115,43 @@ TEST(BatchExecTest, BatchedRunReportsBatchesEmitted) {
   EXPECT_GE(batched.value().stats.batches_emitted.load(), 3);
   Result<QueryResult> rows = RunAt(&db, "SELECT A FROM T", 1);
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().stats.batches_emitted.load(), 0);
+  EXPECT_EQ(rows.value().stats.batches_emitted.load(), 10);
+}
+
+// LIMIT asks its child for no more rows than it still needs, so a scan
+// below it, bare or under a filter, reads exactly offset + limit rows at
+// every batch size.
+TEST(BatchExecTest, LimitReadsWhatItReturns) {
+  Database db;
+  db.matviews().set_enabled(false);  // every run must really execute
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER)").ok());
+  std::string insert = "INSERT INTO T VALUES (0)";
+  for (int i = 1; i < 3000; ++i) insert += ", (" + std::to_string(i) + ")";
+  ASSERT_TRUE(db.Execute(insert).ok());
+  struct Case {
+    const char* sql;
+    int64_t scanned;
+    int64_t first;
+  };
+  const Case kCases[] = {
+      {"SELECT A FROM T LIMIT 3", 3, 0},
+      {"SELECT A FROM T LIMIT 3 OFFSET 5", 8, 5},
+      {"SELECT A FROM T WHERE A >= 0 LIMIT 3", 3, 0},
+      {"SELECT A FROM T WHERE A >= 0 LIMIT 3 OFFSET 5", 8, 5},
+  };
+  for (int bs : {1, 7, 1024}) {
+    for (const Case& c : kCases) {
+      SCOPED_TRACE(std::string(c.sql) + " batch_size=" + std::to_string(bs));
+      Result<QueryResult> r = RunAt(&db, c.sql, bs);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value().stats.rows_scanned.load(), c.scanned);
+      std::vector<Tuple> rows = r.value().rows();
+      ASSERT_EQ(rows.size(), 3u);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i][0].AsInt(), c.first + static_cast<int64_t>(i));
+      }
+    }
+  }
 }
 
 // The Table 1 query set (the eight single-component SQL derivations over

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -282,6 +283,61 @@ TEST(QueryProfileTest, ExecutionCapturesProfileForFingerprint) {
     }
   }
   EXPECT_TRUE(saw_scan) << "profile has no scan-operator class row";
+}
+
+// Every operator produces batches, so the profile and EXPLAIN ANALYZE time
+// every operator: also the scan a Sort drains and the scan a hash join
+// builds from.
+TEST(QueryProfileTest, EveryOperatorReportsBatches) {
+  Database db;
+  db.matviews().set_enabled(false);  // every run must really execute
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE A (K INTEGER, V INTEGER);"
+                               "CREATE TABLE B (K INTEGER, W INTEGER);"
+                               "INSERT INTO A VALUES (1, 10), (2, 20), (3, 30);"
+                               "INSERT INTO B VALUES (1, 100), (2, 200);")
+                  .ok());
+  const std::string kSorted = "SELECT K, V FROM A ORDER BY V DESC";
+  const std::string kJoined = "SELECT A.V, B.W FROM A, B WHERE A.K = B.K";
+  // Pinned so the batch counts below hold under the batch and morsel knobs.
+  ExecOptions eo;
+  eo.batch_size = 1024;
+  eo.morsel_workers = 1;
+  auto scan_profile = [&](const std::string& sql) {
+    obs::OpProfile scan;
+    Result<QueryResult> r = db.Query(sql, {}, eo);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok()) return scan;
+    for (const obs::OpProfile& op : r.value().profile.ops) {
+      if (op.op == "scan") scan = op;
+    }
+    return scan;
+  };
+
+  // The only scan feeds the Sort.
+  obs::OpProfile sorted = scan_profile(kSorted);
+  EXPECT_EQ(sorted.rows, 3);
+  EXPECT_GE(sorted.batches, 1);
+  // No indexes: a hash join whose probe and build sides each scan one
+  // batch.
+  obs::OpProfile joined = scan_profile(kJoined);
+  EXPECT_EQ(joined.rows, 5);
+  EXPECT_EQ(joined.batches, 2);
+
+  eo.analyze = true;
+  for (const std::string& sql : {kSorted, kJoined}) {
+    Result<QueryResult> r = db.Query(sql, {}, eo);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    ASSERT_FALSE(r.value().plan_texts.empty());
+    for (const std::string& text : r.value().plan_texts) {
+      std::istringstream lines(text);
+      std::string line;
+      while (std::getline(lines, line)) {
+        if (line.find("(actual") == std::string::npos) continue;
+        EXPECT_NE(line.find("batches="), std::string::npos) << sql << "\n"
+                                                            << text;
+      }
+    }
+  }
 }
 
 TEST(QueryProfileTest, SysQueryProfilesQueryableThroughSql) {

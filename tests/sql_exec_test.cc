@@ -114,6 +114,30 @@ TEST_F(SqlTest, GroupByWithAggregates) {
   EXPECT_DOUBLE_EQ(rows[0][5].AsDouble(), 85000.0);
 }
 
+// GROUP BY groups on the key values themselves: DOUBLE keys that print
+// alike at six significant digits stay three groups, while INT 2 and
+// DOUBLE 2.0 are one group, as they are one value for DISTINCT. Groups come
+// out in ascending key order.
+TEST_F(SqlTest, GroupByDoubleKeepsDistinctValues) {
+  ASSERT_TRUE(db_.ExecuteScript(
+                     "CREATE TABLE G (K DOUBLE, V INTEGER);"
+                     "INSERT INTO G VALUES (1234567.5, 1), (1234568.0, 2), "
+                     "(1234568.25, 4), (1234568.25, 8), (2, 16), (2.0, 32);")
+                  .ok());
+  std::vector<Tuple> rows =
+      Rows("SELECT K, COUNT(*), SUM(V) FROM G GROUP BY K");
+  ASSERT_EQ(rows.size(), 4u);
+  const double keys[] = {2.0, 1234567.5, 1234568.0, 1234568.25};
+  const int64_t counts[] = {2, 1, 1, 2};
+  const int64_t sums[] = {48, 1, 2, 12};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_DOUBLE_EQ(rows[i][0].AsDouble(), keys[i]);
+    EXPECT_EQ(rows[i][1].AsInt(), counts[i]);
+    EXPECT_EQ(rows[i][2].AsInt(), sums[i]);
+  }
+  EXPECT_EQ(Rows("SELECT DISTINCT K FROM G").size(), rows.size());
+}
+
 TEST_F(SqlTest, GlobalAggregateOnEmptyInput) {
   std::vector<Tuple> rows =
       Rows("SELECT COUNT(*), SUM(SAL) FROM EMP WHERE SAL > 1000000.0");
