@@ -47,17 +47,21 @@ void DependentCursor::Rebind(const CachedRow* anchor) {
     return;
   }
   // Unswizzled navigation: tuple-id lists + hash lookups. Only binary
-  // relationships can resolve the partner component unambiguously.
+  // relationships can resolve the partner component unambiguously. The
+  // tid lists are keyed by tid alone, so an anchor outside the anchoring
+  // partner component has no neighbours (as with swizzled pointers).
   if (relationship_->partner_names().size() != 2) return;
-  const std::string& comp_name =
-      direction_ == Direction::kChildren ? relationship_->partner_names()[1]
-                                         : relationship_->partner_names()[0];
-  Result<ComponentTable*> comp = workspace_->component(comp_name);
+  const bool children = direction_ == Direction::kChildren;
+  if (!IdentEquals(anchor_->component->name(),
+                   relationship_->partner_names()[children ? 0 : 1])) {
+    return;
+  }
+  Result<ComponentTable*> comp =
+      workspace_->component(relationship_->partner_names()[children ? 1 : 0]);
   if (!comp.ok()) return;
   tid_component_ = comp.value();
-  tids_ = direction_ == Direction::kChildren
-              ? relationship_->ChildTids(anchor_->tid)
-              : relationship_->ParentTids(anchor_->tid);
+  tids_ = children ? relationship_->ChildTids(anchor_->tid)
+                   : relationship_->ParentTids(anchor_->tid);
 }
 
 bool DependentCursor::Next() {

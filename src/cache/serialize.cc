@@ -109,7 +109,9 @@ class CacheSerializer {
       for (size_t i = 0; i < rel->size(); ++i) {
         const CachedConnection* conn = rel->connection(i);
         out << "CONN";
-        for (TupleId tid : conn->partner_tids) out << " " << tid;
+        for (const CachedRow* partner : conn->partners) {
+          out << " " << partner->tid;
+        }
         out << "\n";
       }
     }
@@ -172,19 +174,20 @@ class CacheSerializer {
       }
       auto comp = std::make_unique<ComponentTable>(
           name, std::move(schema), static_cast<int>(ws->components_.size()));
+      // Not reserved from `nrows`: the file's counts are untrusted.
+      std::vector<CachedRow> rows;
       for (size_t r = 0; r < nrows; ++r) {
-        TupleId tid;
-        if (!(in >> word >> tid) || word != "ROW") {
+        CachedRow& row = rows.emplace_back();
+        if (!(in >> word >> row.tid) || word != "ROW") {
           return Status::IoError("expected ROW");
         }
-        Tuple values;
-        values.reserve(ncols);
+        row.values.reserve(ncols);
         for (size_t i = 0; i < ncols; ++i) {
           XNFDB_ASSIGN_OR_RETURN(Value v, ReadValue(in));
-          values.push_back(std::move(v));
+          row.values.push_back(std::move(v));
         }
-        comp->AddRow(tid, std::move(values));
       }
+      comp->AdoptBlock(std::move(rows));
       ws->components_.push_back(std::move(comp));
     }
     return Status::Ok();
@@ -199,7 +202,7 @@ class CacheSerializer {
     struct PendingRel {
       std::string name;
       std::vector<std::string> partners;
-      std::vector<std::vector<TupleId>> conns;
+      std::vector<TupleId> tids;  // n_partners per connection
     };
     std::vector<PendingRel> pending;
     for (size_t r = 0; r < n_rels; ++r) {
@@ -216,17 +219,21 @@ class CacheSerializer {
         }
         p.partners.push_back(std::move(partner));
       }
+      if (n_partners == 0 && n_conns > 0) {
+        return Status::IoError("relationship " + p.name +
+                               " has connections but no partners");
+      }
       for (size_t i = 0; i < n_conns; ++i) {
         if (!(in >> word) || word != "CONN") {
           return Status::IoError("expected CONN");
         }
-        std::vector<TupleId> tids(n_partners);
-        for (TupleId& t : tids) {
+        for (size_t pi = 0; pi < n_partners; ++pi) {
+          TupleId t;
           if (!(in >> t)) {
             return Status::IoError("truncated CONN tuple ids");
           }
+          p.tids.push_back(t);
         }
-        p.conns.push_back(std::move(tids));
       }
       pending.push_back(std::move(p));
     }
@@ -237,10 +244,8 @@ class CacheSerializer {
           p.name, p.partners, static_cast<int>(ws->relationships_.size())));
     }
     for (size_t r = 0; r < pending.size(); ++r) {
-      for (std::vector<TupleId>& tids : pending[r].conns) {
-        XNFDB_RETURN_IF_ERROR(ws->AddConnection(ws->relationships_[r].get(),
-                                                std::move(tids), false));
-      }
+      XNFDB_RETURN_IF_ERROR(ws->LoadConnections(ws->relationships_[r].get(),
+                                                pending[r].tids));
     }
     return Status::Ok();
   }

@@ -1,5 +1,6 @@
 #include "cache/writeback.h"
 
+#include <charconv>
 #include <chrono>
 #include <functional>
 #include <set>
@@ -14,6 +15,16 @@
 namespace xnfdb {
 
 std::string SqlLiteral(const Value& v) {
+  if (v.type() == DataType::kDouble) {
+    // Shortest digits that read back as the same double, always spelled as
+    // a DOUBLE literal (45000.0, not the INTEGER 45000).
+    char buf[32];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v.AsDouble());
+    std::string out(buf, r.ptr);
+    if (out.find_first_of(".en") == std::string::npos) out += ".0";
+    return out;
+  }
   if (v.type() != DataType::kString) return v.ToString();
   std::string out = "'";
   for (char c : v.AsString()) {
@@ -344,17 +355,14 @@ Result<std::vector<std::string>> WriteBackPlanner::Plan(
     return where;
   };
 
-  // Component changes.
+  // Component changes. Only components with pending rows must be
+  // updatable; only pending rows are visited, in row order.
+  std::vector<std::vector<CachedRow*>> pending_rows(
+      workspace->component_count());
   for (size_t ci = 0; ci < workspace->component_count(); ++ci) {
     ComponentTable* comp = workspace->component(ci);
-    // Check whether this component has pending changes at all before
-    // requiring updatability.
-    bool pending = false;
-    for (size_t i = 0; i < comp->size(); ++i) {
-      const CachedRow* row = comp->row(i);
-      if (row->dirty || row->inserted || row->deleted) pending = true;
-    }
-    if (!pending) continue;
+    pending_rows[ci] = comp->PendingRows();
+    if (pending_rows[ci].empty()) continue;
 
     XNFDB_ASSIGN_OR_RETURN(ComponentPlan plan, AnalyzeComponent(*comp));
     if (!plan.updatable) {
@@ -364,8 +372,7 @@ Result<std::vector<std::string>> WriteBackPlanner::Plan(
     XNFDB_ASSIGN_OR_RETURN(Table * base,
                            db_->catalog().GetTable(plan.base_table));
 
-    for (size_t i = 0; i < comp->size(); ++i) {
-      CachedRow* row = comp->row(i);
+    for (const CachedRow* row : pending_rows[ci]) {
       if (row->inserted && !row->deleted) {
         // INSERT: full base row, NULL for columns outside the cache.
         std::vector<std::string> values(base->schema().size(), "NULL");
@@ -393,12 +400,8 @@ Result<std::vector<std::string>> WriteBackPlanner::Plan(
   // Connects / disconnects.
   for (size_t ri = 0; ri < workspace->relationship_count(); ++ri) {
     Relationship* rel = workspace->relationship(ri);
-    bool pending = false;
-    for (size_t i = 0; i < rel->size(); ++i) {
-      const CachedConnection* conn = rel->connection(i);
-      if (conn->inserted || conn->deleted) pending = true;
-    }
-    if (!pending) continue;
+    const std::vector<CachedConnection*> pending = rel->PendingConnections();
+    if (pending.empty()) continue;
 
     XNFDB_ASSIGN_OR_RETURN(RelationshipPlan plan,
                            AnalyzeRelationship(*rel, workspace));
@@ -406,9 +409,8 @@ Result<std::vector<std::string>> WriteBackPlanner::Plan(
       return Status::InvalidArgument("relationship " + rel->name() +
                                      " is not updatable: " + plan.reason);
     }
-    for (size_t i = 0; i < rel->size(); ++i) {
-      CachedConnection* conn = rel->connection(i);
-      if (conn->inserted == conn->deleted) continue;  // net no-op or stored
+    for (const CachedConnection* conn : pending) {
+      if (conn->inserted == conn->deleted) continue;  // net no-op
       const CachedRow* parent = conn->partners[0];
       const CachedRow* child = conn->partners[1];
       if (plan.kind == RelationshipPlan::Kind::kForeignKey) {
@@ -456,8 +458,7 @@ Result<std::vector<std::string>> WriteBackPlanner::Plan(
   // Row deletes last (their connections were handled above).
   for (size_t ci = 0; ci < workspace->component_count(); ++ci) {
     ComponentTable* comp = workspace->component(ci);
-    for (size_t i = 0; i < comp->size(); ++i) {
-      CachedRow* row = comp->row(i);
+    for (const CachedRow* row : pending_rows[ci]) {
       if (!row->deleted || row->inserted || row->deleted_synced) continue;
       XNFDB_ASSIGN_OR_RETURN(ComponentPlan plan, AnalyzeComponent(*comp));
       if (!plan.updatable) {

@@ -21,14 +21,16 @@ int64_t WallUs() {
 template <size_t N>
 void FillField(char (&dst)[N], std::string_view src) {
   size_t n = src.size() < N - 1 ? src.size() : N - 1;
-  std::memcpy(dst, src.data(), n);
+  // An empty view may carry a null data(), which memcpy must not get.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   std::memset(dst + n, 0, N - n);
 }
 
 template <size_t N>
 bool FieldEquals(const char (&field)[N], std::string_view src) {
   size_t n = src.size() < N - 1 ? src.size() : N - 1;
-  return std::strlen(field) == n && std::memcmp(field, src.data(), n) == 0;
+  return std::strlen(field) == n &&
+         (n == 0 || std::memcmp(field, src.data(), n) == 0);
 }
 
 // --- async-signal-safe text building (DumpTailUnsafe) ---------------------

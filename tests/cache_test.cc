@@ -14,6 +14,7 @@
 #include "cache/serialize.h"
 #include "cache/writeback.h"
 #include "cache/xnf_cache.h"
+#include "obs/metrics.h"
 #include "tests/paper_db.h"
 
 namespace xnfdb {
@@ -269,6 +270,141 @@ TEST_P(CacheTest, NonUpdatableComponentRejectsWriteBack) {
   Result<std::vector<std::string>> stmts = cache.value()->WriteBack();
   EXPECT_FALSE(stmts.ok());
   EXPECT_EQ(stmts.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Children (or parents) of `anchor` through `rel`, by first-column value.
+std::multiset<int64_t> Neighbours(Workspace* ws, const std::string& rel,
+                                  const CachedRow* anchor,
+                                  DependentCursor::Direction direction) {
+  std::multiset<int64_t> keys;
+  DependentCursor cursor(ws, ws->relationship(rel).value(), anchor, direction);
+  while (cursor.Next()) keys.insert(cursor.row()->values[0].AsInt());
+  return keys;
+}
+
+// The tid maps exist only without swizzling, and the two modes must agree
+// on every navigation step, also after local inserts, connects and
+// disconnects.
+TEST(CacheNavigationTest, UnswizzledNavigationMatchesSwizzled) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  std::unique_ptr<XNFCache> caches[2];
+  for (bool swizzle : {false, true}) {
+    XNFCache::Options options;
+    options.workspace.swizzle = swizzle;
+    caches[swizzle] =
+        XNFCache::Evaluate(&db, testing_util::kDepsArcQuery, options).value();
+    Workspace& ws = caches[swizzle]->workspace();
+    auto row = [&](const char* comp, int64_t key) {
+      return ws.component(comp).value()->FindByValue(0, Value(key));
+    };
+    CachedRow* s6 =
+        ws.InsertRow("XSKILLS", {Value(int64_t{6000}), Value("s6")}).value();
+    ASSERT_TRUE(ws.Connect("EMPPROPERTY", row("XEMP", 10), s6).ok());
+    ASSERT_TRUE(ws.Disconnect("EMPLOYMENT", row("XDEPT", 1), row("XEMP", 20))
+                    .ok());
+    ASSERT_TRUE(
+        ws.Connect("EMPLOYMENT", row("XDEPT", 2), row("XEMP", 20)).ok());
+    ASSERT_TRUE(ws.Disconnect("EMPPROPERTY", row("XEMP", 30),
+                              row("XSKILLS", 4000))
+                    .ok());
+    Relationship* employment = ws.relationship("EMPLOYMENT").value();
+    const CachedRow* d1 = row("XDEPT", 1);
+    EXPECT_EQ(employment->ChildTids(d1->tid) == nullptr, swizzle);
+    EXPECT_EQ(employment->ParentTids(row("XEMP", 10)->tid) == nullptr,
+              swizzle);
+  }
+  Workspace& plain = caches[0]->workspace();
+  Workspace& swizzled = caches[1]->workspace();
+  ASSERT_EQ(plain.relationship_count(), swizzled.relationship_count());
+  size_t steps = 0;
+  for (size_t r = 0; r < plain.relationship_count(); ++r) {
+    const std::string rel = plain.relationship(r)->name();
+    for (size_t c = 0; c < plain.component_count(); ++c) {
+      ComponentTable* a = plain.component(c);
+      ComponentTable* b = swizzled.component(c);
+      ASSERT_EQ(a->size(), b->size());
+      for (size_t i = 0; i < a->size(); ++i) {
+        ASSERT_EQ(a->row(i)->values, b->row(i)->values);
+        for (auto dir : {DependentCursor::Direction::kChildren,
+                         DependentCursor::Direction::kParents}) {
+          std::multiset<int64_t> want = Neighbours(&swizzled, rel, b->row(i),
+                                                   dir);
+          EXPECT_EQ(Neighbours(&plain, rel, a->row(i), dir), want)
+              << rel << " from " << a->name() << " row " << i;
+          steps += want.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(steps, 0u);
+  // The local edits are visible in both modes.
+  CachedRow* d2 = swizzled.component("XDEPT").value()->FindByValue(
+      0, Value(int64_t{2}));
+  EXPECT_EQ(Neighbours(&swizzled, "EMPLOYMENT", d2,
+                       DependentCursor::Direction::kChildren),
+            (std::multiset<int64_t>{20, 30}));
+  CachedRow* e10 = plain.component("XEMP").value()->FindByValue(
+      0, Value(int64_t{10}));
+  EXPECT_EQ(Neighbours(&plain, "EMPPROPERTY", e10,
+                       DependentCursor::Direction::kChildren),
+            (std::multiset<int64_t>{1000, 6000}));
+}
+
+// One Build resolves every partner tid once and installs one pointer pair
+// per (connection, child partner). The Fig. 1 CO has ten binary
+// connections: 20 lookups, and 10 installs when swizzling.
+TEST(CacheNavigationTest, BuildCountsLookupsAndInstallsOncePerPartner) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  Result<QueryResult> result = db.Query(testing_util::kDepsArcQuery);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  for (bool swizzle : {true, false}) {
+    const int64_t installs = reg.GetCounter("cache.swizzle.installs")->value();
+    const int64_t hits = reg.GetCounter("cache.lookup.hits")->value();
+    const int64_t misses = reg.GetCounter("cache.lookup.misses")->value();
+    WorkspaceOptions options;
+    options.swizzle = swizzle;
+    ASSERT_TRUE(Workspace::Build(result.value(), options).ok());
+    EXPECT_EQ(reg.GetCounter("cache.swizzle.installs")->value() - installs,
+              swizzle ? 10 : 0);
+    EXPECT_EQ(reg.GetCounter("cache.lookup.hits")->value() - hits, 20);
+    EXPECT_EQ(reg.GetCounter("cache.lookup.misses")->value() - misses, 0);
+  }
+}
+
+// A connection naming a tid that no row carries fails the build.
+TEST(CacheNavigationTest, DanglingConnectionInStreamFailsBuild) {
+  QueryResult result;
+  OutputDesc comp;
+  comp.name = "A";
+  comp.schema.AddColumn(Column{"X", DataType::kInt});
+  OutputDesc rel;
+  rel.name = "R";
+  rel.is_connection = true;
+  rel.partner_names = {"A", "A"};
+  result.outputs = {comp, rel};
+  StreamItem row;
+  row.output = 0;
+  row.tid = 0;
+  row.values = {Value(int64_t{7})};
+  StreamItem conn;
+  conn.kind = StreamItem::Kind::kConnection;
+  conn.output = 1;
+  conn.tids = {0, 99};
+  // The connection arrives before its partner row.
+  result.stream = {conn, row};
+  Result<std::unique_ptr<Workspace>> ws = Workspace::Build(result);
+  ASSERT_FALSE(ws.ok());
+  EXPECT_NE(ws.status().message().find("dangling connection"),
+            std::string::npos)
+      << ws.status().ToString();
+  // With the partner present the same stream builds.
+  result.stream[0].tids = {0, 0};
+  ws = Workspace::Build(result);
+  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
+  EXPECT_EQ(ws.value()->relationship(0)->size(), 1u);
 }
 
 }  // namespace

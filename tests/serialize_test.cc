@@ -128,7 +128,66 @@ TEST_F(SerializeTest, DanglingConnectionRejected) {
       "CONN 0 99\n"  // tid 99 does not exist
       "END\n");
   Result<std::unique_ptr<Workspace>> loaded = LoadWorkspace(in);
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("dangling connection"),
+            std::string::npos);
+  EXPECT_NE(loaded.status().message().find("tid 99"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+// Tids outside 0..n-1 (a row inserted locally keeps its negative tid
+// through write-back and save; a hand-edited file may carry any tid) are
+// found by hash, and a huge tid does not size the dense index.
+TEST_F(SerializeTest, FarAndNegativeTidsLoadWithoutDenseBlowUp) {
+  for (bool swizzle : {true, false}) {
+    std::stringstream in(
+        "XNFCACHE 1\n"
+        "COMPONENTS 1\n"
+        "COMPONENT A 1 4\n"
+        "COL X 1\n"
+        "ROW 1000000000000000\n"
+        "I 1\n"
+        "ROW -7\n"
+        "I 2\n"
+        "ROW 0\n"
+        "I 3\n"
+        "ROW -2\n"
+        "I 4\n"
+        "RELATIONSHIPS 1\n"
+        "RELATIONSHIP R 2 2\n"
+        "PARTNER A\n"
+        "PARTNER A\n"
+        "CONN 1000000000000000 -7\n"
+        "CONN 0 -2\n"
+        "END\n");
+    WorkspaceOptions options;
+    options.swizzle = swizzle;
+    Result<std::unique_ptr<Workspace>> loaded = LoadWorkspace(in, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ComponentTable* a = loaded.value()->component("A").value();
+    ASSERT_EQ(a->size(), 4u);
+    CachedRow* far = a->FindByTid(1000000000000000);
+    ASSERT_NE(far, nullptr);
+    EXPECT_EQ(far->values[0].AsInt(), 1);
+    ASSERT_NE(a->FindByTid(-7), nullptr);
+    EXPECT_EQ(a->FindByTid(-7)->values[0].AsInt(), 2);
+    EXPECT_EQ(a->FindByTid(0)->values[0].AsInt(), 3);
+    EXPECT_EQ(a->FindByTid(-2)->values[0].AsInt(), 4);
+    EXPECT_EQ(a->FindByTid(1), nullptr);
+    EXPECT_LE(a->dense_index_size(), 2 * a->size() + 1025);
+    // The connections resolved to those rows and navigate.
+    Relationship* r = loaded.value()->relationship("R").value();
+    ASSERT_EQ(r->size(), 2u);
+    EXPECT_EQ(r->connection(0)->partners[0], far);
+    DependentCursor cursor(loaded.value().get(), r, far);
+    ASSERT_TRUE(cursor.Next());
+    EXPECT_EQ(cursor.row()->tid, -7);
+    EXPECT_FALSE(cursor.Next());
+    // Saving writes the same tids back.
+    std::stringstream out;
+    ASSERT_TRUE(SaveWorkspace(*loaded.value(), out).ok());
+    EXPECT_NE(out.str().find("CONN 1000000000000000 -7\n"), std::string::npos);
+  }
 }
 
 TEST_F(SerializeTest, FileHelpersReportIoErrors) {

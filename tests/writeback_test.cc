@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+
 #include "cache/writeback.h"
 #include "cache/xnf_cache.h"
 #include "obs/metrics.h"
@@ -139,6 +142,12 @@ TEST_F(WriteBackTest, SqlLiteralEscapesQuotes) {
   EXPECT_EQ(SqlLiteral(Value("it's")), "'it''s'");
   EXPECT_EQ(SqlLiteral(Value(int64_t{42})), "42");
   EXPECT_EQ(SqlLiteral(Value::Null()), "NULL");
+  EXPECT_EQ(SqlLiteral(Value(1234567.5)), "1234567.5");
+  EXPECT_EQ(SqlLiteral(Value(45000.0)), "45000.0");
+  EXPECT_EQ(SqlLiteral(Value(0.1)), "0.1");
+  EXPECT_EQ(SqlLiteral(Value(-2.5e-300)), "-2.5e-300");
+  EXPECT_EQ(SqlLiteral(Value(0.1 + 0.2)), "0.30000000000000004");
+  EXPECT_EQ(SqlLiteral(Value(1e300)), "1e+300");
 }
 
 TEST_F(WriteBackTest, UpdateWithoutPkMatchesOnAllOriginalColumns) {
@@ -173,6 +182,101 @@ TEST_F(WriteBackTest, DisconnectThenWriteBackDeletesConnectRow) {
       "SELECT ESSNO FROM EMPSKILLS WHERE ESENO = 10");
   ASSERT_TRUE(check.ok());
   EXPECT_TRUE(check.value().rows().empty());
+}
+
+// DOUBLE values are written with the shortest digits that read back
+// exactly, and always as DOUBLE literals, so the server stores exactly the
+// cached value.
+TEST_F(WriteBackTest, DoubleValuesRoundTripThroughWriteBack) {
+  for (double sal : {1234567.5, 45000.0, 0.1, -2.5e-300, 0.1 + 0.2}) {
+    cache_ = XNFCache::Evaluate(&db_, "OUT OF x AS EMP TAKE *").value();
+    CachedRow* row = cache_->workspace().component("X").value()->FindByValue(
+        0, Value(int64_t{10}));
+    ASSERT_NE(row, nullptr);
+    ASSERT_TRUE(cache_->Update(row, "SAL", Value(sal)).ok());
+    Result<std::vector<std::string>> stmts = cache_->WriteBack();
+    ASSERT_TRUE(stmts.ok()) << stmts.status().ToString();
+    Result<QueryResult> check =
+        db_.Query("SELECT SAL FROM EMP WHERE ENO = 10");
+    ASSERT_TRUE(check.ok()) << check.status().ToString();
+    ASSERT_EQ(check.value().rows().size(), 1u);
+    const Value stored = check.value().rows()[0][0];
+    ASSERT_EQ(stored.type(), DataType::kDouble)
+        << sal << " written as: " << stmts.value()[0];
+    EXPECT_EQ(stored.AsDouble(), sal) << "written as: " << stmts.value()[0];
+  }
+}
+
+// Write-back visits only the pending rows and connections, but emits them
+// in row and connection order whatever order the edits were made in. The
+// edits touch every statement kind on the Fig. 1 cache; at most one
+// connect per relationship and one insert per component, whose positions
+// are fixed by the edit order.
+TEST_F(WriteBackTest, PendingChangesPlanInRowOrderForAnyEditOrder) {
+  const std::vector<std::string> want = {
+      "UPDATE DEPT SET DNAME = 'OS2' WHERE DNO = 2",
+      "UPDATE EMP SET ENAME = 'x''s' WHERE ENO = 10",
+      "UPDATE EMP SET SAL = 45000.0 WHERE ENO = 20",
+      "UPDATE EMP SET SAL = 1234567.5 WHERE ENO = 30",
+      "INSERT INTO PROJ VALUES (400, 'p4', 1)",
+      "UPDATE EMP SET EDNO = NULL WHERE ENO = 30",
+      "UPDATE EMP SET EDNO = 1 WHERE ENO = 30",
+      "DELETE FROM EMPSKILLS WHERE ESENO = 20 AND ESSNO = 3000",
+      "INSERT INTO EMPSKILLS VALUES (10, 4000)",
+      "DELETE FROM SKILLS WHERE SNO = 5000",
+  };
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    cache_ = XNFCache::Evaluate(&db_, testing_util::kDepsArcQuery).value();
+    Workspace& ws = cache_->workspace();
+    auto row = [&](const char* comp, int64_t key) {
+      return ws.component(comp).value()->FindByValue(0, Value(key));
+    };
+    std::vector<std::function<Status()>> edits = {
+        [&] { return ws.UpdateRow(row("XEMP", 30), 3, Value(1234567.5)); },
+        [&] { return ws.UpdateRow(row("XEMP", 10), 1, Value("x's")); },
+        [&] { return ws.UpdateRow(row("XDEPT", 2), 1, Value("OS2")); },
+        [&] { return ws.UpdateRow(row("XEMP", 20), 3, Value(45000.0)); },
+        [&] {
+          return ws.InsertRow("XPROJ", {Value(int64_t{400}), Value("p4"),
+                                        Value(int64_t{1})})
+              .status();
+        },
+        [&] { return ws.DeleteRow(row("XSKILLS", 5000)); },
+        [&] {
+          return ws.Disconnect("EMPLOYMENT", row("XDEPT", 2), row("XEMP", 30));
+        },
+        [&] {
+          return ws.Connect("EMPLOYMENT", row("XDEPT", 1), row("XEMP", 30));
+        },
+        [&] {
+          return ws.Disconnect("EMPPROPERTY", row("XEMP", 20),
+                               row("XSKILLS", 3000));
+        },
+        [&] {
+          return ws.Connect("EMPPROPERTY", row("XEMP", 10),
+                            row("XSKILLS", 4000));
+        },
+        // Edits that plan nothing: an unchanged value, a connect undone.
+        [&] { return ws.UpdateRow(row("XPROJ", 200), 1, Value("p2")); },
+        [&] {
+          XNFDB_RETURN_IF_ERROR(ws.Connect("PROJPROPERTY", row("XPROJ", 100),
+                                           row("XSKILLS", 1000)));
+          return ws.Disconnect("PROJPROPERTY", row("XPROJ", 100),
+                               row("XSKILLS", 1000));
+        },
+    };
+    // Fisher-Yates with the raw engine output: the same order everywhere.
+    std::mt19937 rng(seed);
+    for (size_t i = edits.size() - 1; i > 0; --i) {
+      std::swap(edits[i], edits[rng() % (i + 1)]);
+    }
+    for (auto& edit : edits) ASSERT_TRUE(edit().ok()) << "seed " << seed;
+    ASSERT_TRUE(ws.HasPendingChanges());
+    WriteBackPlanner planner(&db_, &cache_->definition());
+    Result<std::vector<std::string>> plan = planner.Plan(&ws);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan.value(), want) << "seed " << seed;
+  }
 }
 
 // Injected transient failures used to be invisible to callers; now every
