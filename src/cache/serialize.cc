@@ -1,6 +1,7 @@
 #include "cache/serialize.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/file_format.h"
@@ -180,6 +181,14 @@ class CacheSerializer {
         CachedRow& row = rows.emplace_back();
         if (!(in >> word >> row.tid) || word != "ROW") {
           return Status::IoError("expected ROW");
+        }
+        // A saved locally inserted row keeps its negative tid: the next
+        // InsertRow must not hand that tid out again.
+        if (row.tid <= ws->next_local_tid_) {
+          if (row.tid == std::numeric_limits<TupleId>::min()) {
+            return Status::IoError("cached row tid out of range");
+          }
+          ws->next_local_tid_ = row.tid - 1;
         }
         row.values.reserve(ncols);
         for (size_t i = 0; i < ncols; ++i) {

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -34,6 +35,25 @@ std::string SqlLiteral(const Value& v) {
   out += "'";
   return out;
 }
+
+namespace {
+
+// The SQL dialect has no literal for an infinite or NaN DOUBLE, so a row
+// holding one cannot be written back.
+Status CheckFinite(const ComponentTable& comp, const Tuple& values) {
+  for (size_t c = 0; c < values.size(); ++c) {
+    const Value& v = values[c];
+    if (v.type() == DataType::kDouble && !std::isfinite(v.AsDouble())) {
+      return Status::InvalidArgument(
+          "component " + comp.name() + " column " +
+          comp.schema().column(c).name + " holds " + v.ToString() +
+          ", which has no SQL literal; write-back needs a finite value");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 const ast::XnfDef* WriteBackPlanner::FindDef(const std::string& name) const {
   for (const ast::XnfDef& def : definition_->defs) {
@@ -373,6 +393,13 @@ Result<std::vector<std::string>> WriteBackPlanner::Plan(
                            db_->catalog().GetTable(plan.base_table));
 
     for (const CachedRow* row : pending_rows[ci]) {
+      // The statements spell a live row's values and an existing row's
+      // base-table address.
+      if (!row->deleted) XNFDB_RETURN_IF_ERROR(CheckFinite(*comp, row->values));
+      if (!row->inserted) {
+        XNFDB_RETURN_IF_ERROR(
+            CheckFinite(*comp, row->dirty ? row->original : row->values));
+      }
       if (row->inserted && !row->deleted) {
         // INSERT: full base row, NULL for columns outside the cache.
         std::vector<std::string> values(base->schema().size(), "NULL");

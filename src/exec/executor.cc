@@ -1,11 +1,9 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -106,36 +104,6 @@ Rid ResolveMorselRows(int64_t requested) {
       ParseEnvInt("XNFDB_MORSEL_ROWS", 1, int64_t{1} << 30, 2048));
 }
 
-// Runs `task(i)` for i in [0, n) on up to `workers` threads. Tasks must be
-// independent. Returns the first failure, if any.
-Status RunParallel(int n, int workers,
-                   const std::function<Status(int)>& task) {
-  if (workers <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) {
-      XNFDB_RETURN_IF_ERROR(task(i));
-    }
-    return Status::Ok();
-  }
-  std::atomic<int> next{0};
-  std::vector<Status> failures(n);
-  std::vector<std::thread> threads;
-  int nthreads = std::min(workers, n);
-  for (int t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&] {
-      while (true) {
-        int i = next.fetch_add(1);
-        if (i >= n) break;
-        failures[i] = task(i);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const Status& s : failures) {
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg) {
@@ -207,27 +175,14 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
 
   int n_outputs = static_cast<int>(top->outputs.size());
   const bool collect_counts = options.collect_dedup_counts;
-  std::map<std::string, int> component_output;  // name -> output index
   std::map<std::string, TidMap> tids;  // component name -> tid map
-  for (int i = 0; i < n_outputs; ++i) {
-    if (!top->outputs[i].is_connection) {
-      component_output[top->outputs[i].name] = i;
-      tids[top->outputs[i].name];  // pre-create: stable under parallel pass
-      if (collect_counts && top->outputs[i].xnf_component) {
-        result.component_counts[i];  // pre-create: stable under parallel pass
-      }
-    } else if (collect_counts) {
-      result.connection_counts[i];
-    }
-  }
   std::vector<std::vector<StreamItem>> buffers(n_outputs);
   std::vector<std::string> plan_texts(n_outputs);
 
-  // Always-on profile accumulation. Output passes and morsel workers all
-  // merge their finished trees here, so the aggregation is mutex-guarded;
-  // it runs once per finished plan, never per row.
+  // Always-on profile accumulation, once per finished plan tree, never per
+  // row. Only the query thread merges: morsel clones are merged after
+  // their workers joined.
   const bool collect_profile = options.collect_profile;
-  std::mutex profile_mu;
   std::map<std::string, obs::OpProfile> profile_ops;
   std::map<int64_t, obs::WorkerProfile> profile_workers;  // by worker id
 
@@ -259,7 +214,6 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       };
   auto record_feedback = [&](int oi, Operator* root) {
     if (!collect_feedback) return;
-    std::lock_guard<std::mutex> lock(profile_mu);
     int idx = 0;
     feedback_walk(oi, &idx, root);
   };
@@ -270,7 +224,6 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
 
   auto record_tree = [&](Operator* op) {
     if (!collect_profile) return;
-    std::lock_guard<std::mutex> lock(profile_mu);
     AccumulateTree(op, &profile_ops);
   };
 
@@ -334,6 +287,13 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
 
     std::vector<std::vector<Tuple>> buckets(morsels->MorselCount());
     std::vector<Status> worker_status(plans.size());
+    // Each worker's own slot, written once when it finishes: rows bucketed
+    // and wall time.
+    struct WorkerTally {
+      int64_t rows = 0;
+      int64_t wall_us = 0;
+    };
+    std::vector<WorkerTally> tallies(plans.size());
     auto worker = [&](size_t w) -> Status {
       Operator* plan = plans[w].get();
       ScanOp* driver = drivers[w];
@@ -366,19 +326,11 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
             return Status::Ok();
           }));
       run_stats.batches_emitted += batches;
-      if (collect_profile) {
-        int64_t wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now() - w0)
-                              .count();
-        std::lock_guard<std::mutex> lock(profile_mu);
-        AccumulateTree(plan, &profile_ops);
-        obs::WorkerProfile& wp = profile_workers[static_cast<int64_t>(w)];
-        wp.worker = static_cast<int64_t>(w);
-        wp.rows += worker_rows;
-        wp.morsels += driver->claimed_morsels();
-        wp.wall_us += wall_us;
-      }
-      record_feedback(oi, plan);
+      tallies[w].rows = worker_rows;
+      tallies[w].wall_us =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - w0)
+              .count();
       return Status::Ok();
     };
     std::vector<std::thread> threads;
@@ -394,6 +346,17 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     for (const Status& s : worker_status) {
       XNFDB_RETURN_IF_ERROR(s);
     }
+    for (size_t w = 0; w < plans.size(); ++w) {
+      record_tree(plans[w].get());
+      record_feedback(oi, plans[w].get());
+      if (collect_profile) {
+        obs::WorkerProfile& wp = profile_workers[static_cast<int64_t>(w)];
+        wp.worker = static_cast<int64_t>(w);
+        wp.rows += tallies[w].rows;
+        wp.morsels += drivers[w]->claimed_morsels();
+        wp.wall_us += tallies[w].wall_us;
+      }
+    }
     // Sequential reassembly: morsel order == scan order.
     TidMap& map = tids[out.name];
     for (std::vector<Tuple>& bucket : buckets) {
@@ -406,117 +369,108 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   };
 
   // Pass 1: component streams (tuple ids assigned; XNF components dedup).
-  // Each output owns its buffer and tid map, so outputs evaluate in
-  // parallel when requested; spool builds are serialized by the planner and
-  // shared across workers.
-  XNFDB_RETURN_IF_ERROR(RunParallel(
-      n_outputs, options.parallel_workers, [&](int oi) -> Status {
-        const qgm::TopOutput& out = top->outputs[oi];
-        if (out.is_connection) return Status::Ok();
-        obs::Span plan_span;
-        if (options.tracer != nullptr) {
-          plan_span = options.tracer->StartSpan("plan " + out.name);
-        }
-        OperatorPtr op;
-        {
-          PhaseTimer timer(options.metrics, "phase.plan.us");
-          XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
-        }
-        if (collect_profile) op->EnableProfile();
-        capture_shape(oi, out, op.get());
-        plan_span.End();
-        obs::Span exec_span;
-        if (options.tracer != nullptr) {
-          exec_span = options.tracer->StartSpan("execute " + out.name);
-        }
-        PhaseTimer timer(options.metrics, "phase.execute.us");
-        if (morsel_workers > 1) {
-          // Intra-plan parallelism: only a plain scan pipeline qualifies
-          // (a pipeline breaker or non-scan source returns null).
-          ScanOp* driver = op->MorselDriver();
-          if (driver != nullptr) {
-            return run_morsel_output(oi, out, std::move(op), driver);
-          }
-        }
-        TidMap& map = tids[out.name];
-        TupleBatch batch(static_cast<size_t>(batch_size));
-        XNFDB_ASSIGN_OR_RETURN(
-            int64_t batches, DrainRows(op.get(), &batch, [&](Tuple& row) {
-              Tuple projected =
-                  out.cols.empty() ? std::move(row) : ProjectCols(row, out.cols);
-              return emit_component(oi, out, map, std::move(projected));
-            }));
-        run_stats.batches_emitted += batches;
-        capture_plan(oi, out, op.get());
-        record_tree(op.get());
-        record_feedback(oi, op.get());
-        return Status::Ok();
-      }));
+  for (int oi = 0; oi < n_outputs; ++oi) {
+    const qgm::TopOutput& out = top->outputs[oi];
+    if (out.is_connection) continue;
+    obs::Span plan_span;
+    if (options.tracer != nullptr) {
+      plan_span = options.tracer->StartSpan("plan " + out.name);
+    }
+    OperatorPtr op;
+    {
+      PhaseTimer timer(options.metrics, "phase.plan.us");
+      XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
+    }
+    if (collect_profile) op->EnableProfile();
+    capture_shape(oi, out, op.get());
+    plan_span.End();
+    obs::Span exec_span;
+    if (options.tracer != nullptr) {
+      exec_span = options.tracer->StartSpan("execute " + out.name);
+    }
+    PhaseTimer timer(options.metrics, "phase.execute.us");
+    // Intra-plan parallelism: only a plain scan pipeline qualifies (a
+    // pipeline breaker or non-scan source has no morsel driver).
+    ScanOp* driver = morsel_workers > 1 ? op->MorselDriver() : nullptr;
+    if (driver != nullptr) {
+      XNFDB_RETURN_IF_ERROR(run_morsel_output(oi, out, std::move(op), driver));
+      continue;
+    }
+    TidMap& map = tids[out.name];
+    TupleBatch batch(static_cast<size_t>(batch_size));
+    XNFDB_ASSIGN_OR_RETURN(
+        int64_t batches, DrainRows(op.get(), &batch, [&](Tuple& row) {
+          Tuple projected =
+              out.cols.empty() ? std::move(row) : ProjectCols(row, out.cols);
+          return emit_component(oi, out, map, std::move(projected));
+        }));
+    run_stats.batches_emitted += batches;
+    capture_plan(oi, out, op.get());
+    record_tree(op.get());
+    record_feedback(oi, op.get());
+  }
 
   // Pass 2: connection streams (tid maps are read-only now).
-  XNFDB_RETURN_IF_ERROR(RunParallel(
-      n_outputs, options.parallel_workers, [&](int oi) -> Status {
-        const qgm::TopOutput& out = top->outputs[oi];
-        if (!out.is_connection) return Status::Ok();
-        obs::Span exec_span;
-        if (options.tracer != nullptr) {
-          exec_span = options.tracer->StartSpan("execute " + out.name);
-        }
-        OperatorPtr op;
-        {
-          PhaseTimer timer(options.metrics, "phase.plan.us");
-          XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
-        }
-        if (collect_profile) op->EnableProfile();
-        capture_shape(oi, out, op.get());
-        PhaseTimer timer(options.metrics, "phase.execute.us");
-        std::set<std::vector<TupleId>> seen;
-        std::map<std::vector<TupleId>, int64_t>* counts =
-            collect_counts ? &result.connection_counts[oi] : nullptr;
-        TupleBatch batch(static_cast<size_t>(batch_size));
-        XNFDB_ASSIGN_OR_RETURN(
-            int64_t batches,
-            DrainRows(op.get(), &batch, [&](Tuple& row) -> Status {
-              std::vector<TupleId> partner_tids;
-              for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
-                const std::string& partner = out.partner_names[pi];
-                auto cit = component_output.find(partner);
-                if (cit == component_output.end()) {
-                  return Status::Internal("connection partner '" + partner +
-                                          "' is not an output component");
-                }
-                Tuple key = ProjectCols(row, out.partner_cols[pi]);
-                const TidMap& map = tids.find(partner)->second;
-                auto it = map.ids.find(key);
-                if (it == map.ids.end()) {
-                  // The partner row did not appear in its component stream
-                  // (can happen only for non-reachable setups); drop the
-                  // connection to keep the answer closed.
-                  return Status::Ok();
-                }
-                partner_tids.push_back(it->second);
-              }
-              if (counts != nullptr) ++(*counts)[partner_tids];
-              if (!seen.insert(partner_tids).second) {
-                return Status::Ok();  // duplicate connection
-              }
-              if (ctx != nullptr) {
-                XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-              }
-              StreamItem item;
-              item.kind = StreamItem::Kind::kConnection;
-              item.output = oi;
-              item.tids = std::move(partner_tids);
-              ++run_stats.rows_output;
-              buffers[oi].push_back(std::move(item));
+  for (int oi = 0; oi < n_outputs; ++oi) {
+    const qgm::TopOutput& out = top->outputs[oi];
+    if (!out.is_connection) continue;
+    obs::Span exec_span;
+    if (options.tracer != nullptr) {
+      exec_span = options.tracer->StartSpan("execute " + out.name);
+    }
+    OperatorPtr op;
+    {
+      PhaseTimer timer(options.metrics, "phase.plan.us");
+      XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
+    }
+    if (collect_profile) op->EnableProfile();
+    capture_shape(oi, out, op.get());
+    PhaseTimer timer(options.metrics, "phase.execute.us");
+    std::set<std::vector<TupleId>> seen;
+    std::map<std::vector<TupleId>, int64_t>* counts =
+        collect_counts ? &result.connection_counts[oi] : nullptr;
+    TupleBatch batch(static_cast<size_t>(batch_size));
+    XNFDB_ASSIGN_OR_RETURN(
+        int64_t batches,
+        DrainRows(op.get(), &batch, [&](Tuple& row) -> Status {
+          std::vector<TupleId> partner_tids;
+          for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
+            const std::string& partner = out.partner_names[pi];
+            auto tit = tids.find(partner);
+            if (tit == tids.end()) {
+              return Status::Internal("connection partner '" + partner +
+                                      "' is not an output component");
+            }
+            Tuple key = ProjectCols(row, out.partner_cols[pi]);
+            auto it = tit->second.ids.find(key);
+            if (it == tit->second.ids.end()) {
+              // The partner row did not appear in its component stream
+              // (can happen only for non-reachable setups); drop the
+              // connection to keep the answer closed.
               return Status::Ok();
-            }));
-        run_stats.batches_emitted += batches;
-        capture_plan(oi, out, op.get());
-        record_tree(op.get());
-        record_feedback(oi, op.get());
-        return Status::Ok();
-      }));
+            }
+            partner_tids.push_back(it->second);
+          }
+          if (counts != nullptr) ++(*counts)[partner_tids];
+          if (!seen.insert(partner_tids).second) {
+            return Status::Ok();  // duplicate connection
+          }
+          if (ctx != nullptr) {
+            XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
+          }
+          StreamItem item;
+          item.kind = StreamItem::Kind::kConnection;
+          item.output = oi;
+          item.tids = std::move(partner_tids);
+          ++run_stats.rows_output;
+          buffers[oi].push_back(std::move(item));
+          return Status::Ok();
+        }));
+    run_stats.batches_emitted += batches;
+    capture_plan(oi, out, op.get());
+    record_tree(op.get());
+    record_feedback(oi, op.get());
+  }
 
   // Workers have joined: the snapshot below is consistent.
   result.stats = run_stats;

@@ -57,8 +57,8 @@ struct QueryResult {
   std::vector<OutputDesc> outputs;
   std::vector<StreamItem> stream;
   // A consistent post-execution snapshot: the executor accumulates into a
-  // private ExecStats while workers run and copies it here only after every
-  // worker has joined, so parallel runs report exact counters.
+  // private ExecStats while morsel workers run and copies it here only
+  // after every worker has joined, so morsel runs report exact counters.
   ExecStats stats;
   // EXPLAIN ANALYZE (ExecOptions::analyze): one rendered plan tree per
   // output, annotated with actual rows/loops/wall time per operator.
@@ -97,20 +97,19 @@ struct QueryResult {
 
 struct ExecOptions {
   PlanOptions plan;
-  // Evaluate the Top box's output streams on up to this many threads
-  // (paper Sect. 5.1/6: applying parallelism to set-oriented CO
-  // extraction). 1 = sequential.
-  int parallel_workers = 1;
   // Rows per batch, for every pull in the query: output plan roots, spool
   // and group materialization, join builds, sort and aggregate inputs. 0 =
   // XNFDB_BATCH_SIZE env var or 1024; 1 runs one-row batches.
   int batch_size = 0;
-  // Morsel-driven intra-plan parallelism: when > 1 and an output's plan is
-  // a streaming scan pipeline (filters/projections/join probe sides over a
-  // base-table scan), up to this many workers claim row-range morsels of
-  // the driving scan. Output order stays identical to sequential execution
-  // (per-morsel buckets are reassembled in morsel order). 0 =
-  // XNFDB_MORSEL_WORKERS env var or 1. Disabled in analyze mode.
+  // Morsel-driven intra-plan parallelism (paper Sect. 5.1/6: applying
+  // parallelism to set-oriented CO extraction); morsel workers are the
+  // executor's only threads, and outputs run one after another. When > 1
+  // and an output's plan is a streaming scan pipeline (filters/projections/
+  // join probe sides over a base-table scan), up to this many workers claim
+  // row-range morsels of the driving scan. Output order stays identical to
+  // sequential execution (per-morsel buckets are reassembled in morsel
+  // order). 0 = XNFDB_MORSEL_WORKERS env var or 1. Disabled in analyze
+  // mode.
   int morsel_workers = 0;
   // Rows per claimed morsel. 0 = XNFDB_MORSEL_ROWS env var or 2048.
   int64_t morsel_rows = 0;

@@ -243,13 +243,14 @@ bool ScanOp::ClaimMorsel() {
 }
 
 Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
+  // Counted once per batch: morsel workers share the atomic counter.
+  const size_t before = out->TotalRows();
   while (!out->Full()) {
     Rid end = morsels_ != nullptr ? morsel_end_ : table_->rid_bound();
     while (rid_ < end && !out->Full()) {
       Rid r = rid_++;
       if (!table_->IsLive(r)) continue;
       out->AppendRow() = table_->Get(r);  // copy-assign reuses slot buffers
-      if (stats_ != nullptr) ++stats_->rows_scanned;
     }
     if (rid_ < end) break;  // batch filled mid-range
     if (morsels_ == nullptr) break;
@@ -257,6 +258,9 @@ Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
     // current_morsel() to reassemble deterministic output order.
     if (!out->Empty()) break;
     if (!ClaimMorsel()) break;
+  }
+  if (stats_ != nullptr) {
+    stats_->rows_scanned += static_cast<int64_t>(out->TotalRows() - before);
   }
   return !out->Empty();
 }

@@ -40,7 +40,7 @@ class MetricsRegistry;
 }  // namespace obs
 
 // A copyable atomic counter, so ExecStats can be both shared between
-// parallel workers (paper Sect. 5.1/6: parallel CO extraction) and returned
+// morsel workers (paper Sect. 5.1/6: parallel CO extraction) and returned
 // by value in QueryResult.
 class StatCounter {
  public:

@@ -5,8 +5,8 @@
 // measures wall time from construction to End()/destruction and records
 // itself into its tracer. Nesting is tracked per thread (a span started
 // while another span of the same tracer is open on the same thread becomes
-// its child), so parallel executor workers produce correctly-parented
-// per-output spans.
+// its child), so the spans of concurrent morsel workers never nest under
+// one another.
 //
 // The collected trace renders as Chrome `trace_event` JSON (load via
 // chrome://tracing or https://ui.perfetto.dev). Setting the environment

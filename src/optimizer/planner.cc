@@ -73,7 +73,6 @@ class OneRowOp : public Operator {
 }  // namespace
 
 Result<OperatorPtr> Planner::BoxIterator(int box_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   // Base tables, and pass-through boxes over them, are re-read per
   // consumer: a spool would only copy the table, and hide its indexes.
   std::vector<int> cols;
@@ -104,7 +103,6 @@ Result<OperatorPtr> Planner::BoxIterator(int box_id) {
 
 Result<std::shared_ptr<const std::vector<Tuple>>> Planner::MaterializeBox(
     int box_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = spools_.find(box_id);
   if (it != spools_.end()) return it->second;
   XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, CompileBox(box_id));
@@ -422,7 +420,6 @@ double Planner::PredSelectivity(const Expr& pred) {
 }
 
 double Planner::EstimateCard(int box_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = card_cache_.find(box_id);
   if (it != card_cache_.end()) return it->second;
   card_cache_[box_id] = 1000.0;  // cycle guard

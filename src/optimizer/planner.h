@@ -24,7 +24,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -81,10 +80,11 @@ struct PlanOptions {
 // spool buffers; it must outlive the operators it creates. The graph and
 // catalog must outlive the planner.
 //
-// Thread safety: plan compilation (BoxIterator / MaterializeBox /
-// EstimateCard) is serialized internally, so several workers may compile
-// and then *execute* their operator trees concurrently (spool buffers are
-// immutable once built; base tables are read-only during query execution).
+// Thread safety: a planner is used by one thread, the query's; it takes no
+// lock. The operator trees it returned may run concurrently (the executor
+// plans every morsel clone on the query thread before any worker starts):
+// spool buffers are immutable once built, and base tables are read-only
+// during query execution.
 class Planner {
  public:
   Planner(const Catalog* catalog, const qgm::QueryGraph* graph,
@@ -157,9 +157,6 @@ class Planner {
   PlanOptions options_;
   ExecStats* stats_;
 
-  // Serializes compilation; recursive because materializing one box may
-  // require materializing its inputs.
-  std::recursive_mutex mu_;
   std::map<int, std::shared_ptr<const std::vector<Tuple>>> spools_;
   // EXPLAIN ANALYZE: each spool's annotated build plan, handed to the
   // spool's first reader.

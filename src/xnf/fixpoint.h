@@ -38,11 +38,11 @@ namespace xnfdb {
 
 // Evaluates a graph still containing its XNF operator box (i.e. before the
 // XNF semantic rewrite). Works for both cyclic and acyclic schema graphs.
-// Delta plans run sequentially: `parallel_workers` and `morsel_workers` do
-// not apply. With `analyze`, `plan_texts` holds each delta plan annotated
-// with its actuals summed over the rounds (loops = rounds it ran) and a
-// closing `rounds=` line; with `collect_profile`, the delta plans' operators
-// fill the profile.
+// Delta plans run sequentially: `morsel_workers` does not apply. With
+// `analyze`, `plan_texts` holds each delta plan annotated with its actuals
+// summed over the rounds (loops = rounds it ran) and a closing `rounds=`
+// line; with `collect_profile`, the delta plans' operators fill the
+// profile.
 Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
                                        const qgm::QueryGraph& graph,
                                        const ExecOptions& options = {});

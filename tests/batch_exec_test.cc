@@ -247,5 +247,68 @@ TEST(BatchExecTest, MorselXnfMatchesSequential) {
   EXPECT_EQ(Canonical(seq.value()), Canonical(r.value()));
 }
 
+// Under four workers with tiny morsels, the XNF answer stream is the
+// sequential one item for item (tids and order included), and so are the
+// counters that do not depend on how many plan clones ran. XDEPT is a
+// plain DEPT scan, so it runs on morsels; the connections carry its tids.
+TEST(BatchExecTest, MorselStreamAndCountersMatchSequential) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  // Repeats of one statement would flip to a matview serve.
+  db.matviews().set_enabled(false);
+  const char* kQuery = R"sql(
+    OUT OF xdept AS DEPT,
+           xemp AS (SELECT * FROM EMP WHERE SAL > 0),
+           employment AS (RELATE xdept VIA EMPLOYS, xemp
+                          WHERE xdept.dno = xemp.edno),
+           xskills AS SKILLS,
+           empproperty AS (RELATE xemp VIA POSSESSES, xskills USING
+                           EMPSKILLS es WHERE xemp.eno = es.eseno
+                           AND es.essno = xskills.sno)
+    TAKE *
+  )sql";
+  ExecOptions seq;
+  seq.morsel_workers = 1;
+  Result<QueryResult> a = db.Query(kQuery, {}, seq);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ExecOptions par;
+  par.morsel_workers = 4;
+  par.morsel_rows = 1;
+  Result<QueryResult> b = db.Query(kQuery, {}, par);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_GE(b.value().stats.morsels_claimed.load(), 2);
+  const std::vector<StreamItem>& sa = a.value().stream;
+  const std::vector<StreamItem>& sb = b.value().stream;
+  ASSERT_EQ(sa.size(), sb.size());
+  for (size_t i = 0; i < sa.size(); ++i) {
+    SCOPED_TRACE("item " + std::to_string(i));
+    EXPECT_EQ(sa[i].kind, sb[i].kind);
+    EXPECT_EQ(sa[i].output, sb[i].output);
+    EXPECT_EQ(sa[i].tid, sb[i].tid);
+    EXPECT_EQ(TupleToString(sa[i].values), TupleToString(sb[i].values));
+    EXPECT_EQ(sa[i].tids, sb[i].tids);
+  }
+  EXPECT_EQ(a.value().stats.rows_output.load(),
+            b.value().stats.rows_output.load());
+  EXPECT_EQ(a.value().stats.spool_builds.load(),
+            b.value().stats.spool_builds.load());
+}
+
+// A runtime error raised inside a morsel worker fails the whole query.
+TEST(BatchExecTest, MorselWorkerErrorFailsQuery) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  ExecOptions par;
+  par.morsel_workers = 4;
+  par.morsel_rows = 1;
+  // The same pipeline without the failing expression runs on morsels.
+  Result<QueryResult> ok = db.Query("SELECT ENAME FROM EMP", {}, par);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_GE(ok.value().stats.morsels_claimed.load(), 2);
+  // String arithmetic survives compilation and fails per row at runtime.
+  Result<QueryResult> bad = db.Query("SELECT ENAME + 1 FROM EMP", {}, par);
+  EXPECT_FALSE(bad.ok());
+}
+
 }  // namespace
 }  // namespace xnfdb

@@ -151,15 +151,19 @@ TEST(ExplainAnalyzeTest, PlanTextsAbsentWithoutAnalyze) {
   EXPECT_TRUE(r.value().plan_texts.empty());
 }
 
+// Analyze mode runs morsel-eligible outputs sequentially, so asking for
+// morsel workers still reports the sequential root actuals.
 TEST(ExplainAnalyzeTest, AnalyzeWorksUnderParallelExecution) {
   Database db;
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   ExecOptions seq;
   seq.analyze = true;
+  seq.morsel_workers = 1;
   Result<QueryResult> a = db.Query(testing_util::kDepsArcQuery, {}, seq);
   ASSERT_TRUE(a.ok());
   ExecOptions par = seq;
-  par.parallel_workers = 4;
+  par.morsel_workers = 4;
+  par.morsel_rows = 2;
   Result<QueryResult> b = db.Query(testing_util::kDepsArcQuery, {}, par);
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a.value().plan_texts.size(), b.value().plan_texts.size());

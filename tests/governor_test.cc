@@ -1,8 +1,8 @@
 // Tests of query resource governance: admission control (api/governor.h),
 // cooperative cancellation / deadlines / row and memory budgets
-// (exec/query_context.h) across the sequential, output-parallel,
-// morsel-parallel and recursive-fixpoint execution paths, SYS$QUERIES, and
-// the governor.* metrics.
+// (exec/query_context.h) across the sequential, morsel-parallel and
+// recursive-fixpoint execution paths, SYS$QUERIES, and the governor.*
+// metrics.
 
 #include <gtest/gtest.h>
 
@@ -68,7 +68,8 @@ TEST(GovernorTest, ExpiredDeadlineTerminatesParallelAndMorselQueries) {
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   {
     ExecOptions eo;
-    eo.parallel_workers = 4;
+    eo.morsel_workers = 4;
+    eo.morsel_rows = 2;
     eo.context = ExpiredContext();
     Result<QueryResult> r = db.Query(testing_util::kDepsArcQuery, {}, eo);
     ASSERT_FALSE(r.ok());
@@ -367,7 +368,8 @@ TEST(GovernorTest, CancellationHammerProducesOnlyTerminalStatuses) {
             break;
           }
           case 1: {
-            eo.parallel_workers = 4;
+            eo.morsel_workers = 4;
+            eo.morsel_rows = 2;
             auto r = db.Query(testing_util::kDepsArcQuery, {}, eo);
             if (!r.ok()) status = r.status();
             break;

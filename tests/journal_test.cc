@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -180,6 +182,54 @@ TEST_F(JournalTest, JournalFormatRejectsCorruption) {
         << "truncation at byte " << cut << " loaded successfully";
   }
   env->RemoveFile(journal_path_);
+}
+
+// The SQL dialect has no literal for an infinite or NaN DOUBLE. A pending
+// value that is not finite is refused while planning: no journal is
+// written, no statement runs (not even the batch's earlier ones), and the
+// pending marks stay for a corrected retry.
+TEST_F(JournalTest, NonFiniteValueRefusedBeforeJournalOrExecution) {
+  const double kBad[] = {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()};
+  for (size_t i = 0; i < std::size(kBad); ++i) {
+    SCOPED_TRACE("value " + std::to_string(kBad[i]));
+    cache_ = XNFCache::Evaluate(&db_, testing_util::kDepsArcQuery).value();
+    // An earlier edit of the same batch: XDEPT's statements come first.
+    CachedRow* d1 = cache_->workspace().component("XDEPT").value()
+                        ->FindByValue(0, Value(int64_t{1}));
+    ASSERT_NE(d1, nullptr);
+    const std::string dname = "renamed" + std::to_string(i);
+    ASSERT_TRUE(cache_->Update(d1, "DNAME", Value(dname)).ok());
+    UpdateSalary(kBad[i]);
+
+    Result<std::vector<std::string>> stmts =
+        cache_->WriteBack(JournalOptions());
+    ASSERT_FALSE(stmts.ok());
+    EXPECT_EQ(stmts.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(stmts.status().message().find("XEMP"), std::string::npos)
+        << stmts.status().ToString();
+    EXPECT_NE(stmts.status().message().find("SAL"), std::string::npos)
+        << stmts.status().ToString();
+    const char* kDname = "SELECT DNAME FROM DEPT WHERE DNO = 1";
+    Result<QueryResult> dept = db_.Query(kDname);
+    ASSERT_TRUE(dept.ok());
+    EXPECT_EQ(dept.value().rows()[0][0].AsString(),
+              i == 0 ? "DB" : "renamed0");
+    EXPECT_DOUBLE_EQ(ServerSalary(), i == 0 ? 90000.0 : 95000.0);
+    EXPECT_FALSE(Env::Default()->FileExists(journal_path_));
+    EXPECT_TRUE(cache_->workspace().HasPendingChanges());
+
+    // A finite salary writes the whole batch back.
+    UpdateSalary(95000.0 + i);
+    stmts = cache_->WriteBack(JournalOptions());
+    ASSERT_TRUE(stmts.ok()) << stmts.status().ToString();
+    dept = db_.Query(kDname);
+    ASSERT_TRUE(dept.ok());
+    EXPECT_EQ(dept.value().rows()[0][0].AsString(), dname);
+    EXPECT_DOUBLE_EQ(ServerSalary(), 95000.0 + i);
+    EXPECT_FALSE(cache_->workspace().HasPendingChanges());
+    EXPECT_FALSE(Env::Default()->FileExists(journal_path_));
+  }
 }
 
 }  // namespace

@@ -32,10 +32,8 @@ class ScenarioTest : public ::testing::Test {
 TEST_F(ScenarioTest, FullLifeCycle) {
   // 1. Extraction: one server call for the whole CO.
   db_.ResetServerCalls();
-  XNFCache::Options options;
-  options.exec.parallel_workers = 4;
   Result<std::unique_ptr<XNFCache>> cache =
-      XNFCache::Evaluate(&db_, bench::kDepsArcQuery, options);
+      XNFCache::Evaluate(&db_, bench::kDepsArcQuery);
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
   EXPECT_EQ(db_.server_calls(), 1);
   Workspace& ws = cache.value()->workspace();
@@ -115,7 +113,9 @@ TEST_F(ScenarioTest, FullLifeCycle) {
 
 TEST_F(ScenarioTest, ParallelAndSequentialExtractionIdentical) {
   XNFCache::Options seq, par;
-  par.exec.parallel_workers = 8;
+  seq.exec.morsel_workers = 1;
+  par.exec.morsel_workers = 4;
+  par.exec.morsel_rows = 16;
   Result<std::unique_ptr<XNFCache>> a =
       XNFCache::Evaluate(&db_, bench::kDepsArcQuery, seq);
   Result<std::unique_ptr<XNFCache>> b =
@@ -126,8 +126,16 @@ TEST_F(ScenarioTest, ParallelAndSequentialExtractionIdentical) {
   Workspace& wb = b.value()->workspace();
   ASSERT_EQ(wa.component_count(), wb.component_count());
   for (size_t i = 0; i < wa.component_count(); ++i) {
-    EXPECT_EQ(wa.component(i)->size(), wb.component(i)->size())
-        << wa.component(i)->name();
+    const ComponentTable* ca = wa.component(i);
+    const ComponentTable* cb = wb.component(i);
+    ASSERT_EQ(ca->size(), cb->size()) << ca->name();
+    // Morsel buckets are reassembled in scan order: same rows, same tids.
+    for (size_t r = 0; r < ca->size(); ++r) {
+      EXPECT_EQ(ca->row(r)->tid, cb->row(r)->tid) << ca->name();
+      EXPECT_EQ(TupleToString(ca->row(r)->values),
+                TupleToString(cb->row(r)->values))
+          << ca->name();
+    }
   }
   for (size_t i = 0; i < wa.relationship_count(); ++i) {
     EXPECT_EQ(wa.relationship(i)->size(), wb.relationship(i)->size())

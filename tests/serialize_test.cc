@@ -190,6 +190,45 @@ TEST_F(SerializeTest, FarAndNegativeTidsLoadWithoutDenseBlowUp) {
   }
 }
 
+// A locally inserted row keeps its negative tid through write-back and
+// save; after loading that file the next local insert must get a tid of
+// its own, and each row must stay reachable by tid.
+TEST_F(SerializeTest, LocalTidsStayUniqueAcrossSaveAndLoad) {
+  Result<CachedRow*> first = cache_->Insert(
+      "M", {Value(int64_t{77}), Value("first"), Value(1.0), Value(true)});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_LT(first.value()->tid, 0);
+  ASSERT_TRUE(cache_->WriteBack().ok());
+  std::stringstream buffer;
+  ASSERT_TRUE(SaveWorkspace(cache_->workspace(), buffer).ok());
+  Result<std::unique_ptr<Workspace>> loaded = LoadWorkspace(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Workspace& ws = *loaded.value();
+  ComponentTable* m = ws.component("M").value();
+  CachedRow* reloaded = m->FindByValue(0, Value(int64_t{77}));
+  ASSERT_NE(reloaded, nullptr);
+  Result<CachedRow*> second = ws.InsertRow(
+      "M", {Value(int64_t{78}), Value("second"), Value(2.0), Value(false)});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_NE(second.value()->tid, reloaded->tid);
+  EXPECT_EQ(m->FindByTid(reloaded->tid), reloaded);
+  EXPECT_EQ(m->FindByTid(second.value()->tid), second.value());
+
+  // The smallest tid has no successor below it: such a file is corrupt.
+  std::stringstream corrupt(
+      "XNFCACHE 1\n"
+      "COMPONENTS 1\n"
+      "COMPONENT A 1 1\n"
+      "COL X 1\n"
+      "ROW -9223372036854775808\n"
+      "I 1\n"
+      "RELATIONSHIPS 0\n"
+      "END\n");
+  Result<std::unique_ptr<Workspace>> bad = LoadWorkspace(corrupt);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+}
+
 TEST_F(SerializeTest, FileHelpersReportIoErrors) {
   Result<std::unique_ptr<Workspace>> missing =
       LoadWorkspaceFromFile("/nonexistent/dir/cache.xc");
