@@ -350,21 +350,15 @@ int main() {
         }
       } else if (cmd == ".watchdog") {
         xnfdb::WatchdogOptions wopts = db.watchdog().options();
-        if (arg == "off" || arg.empty()) {
-          db.watchdog().Stop();
-          wopts.stall_ms = 0;
-          db.watchdog().SetOptions(wopts);
+        wopts.stall_ms =
+            arg == "off" || arg.empty() ? 0 : std::atoll(arg.c_str());
+        db.SetWatchdogOptions(wopts);
+        if (wopts.stall_ms <= 0) {
           std::printf("watchdog off\n");
         } else {
-          wopts.stall_ms = std::atoll(arg.c_str());
-          if (wopts.poll_ms > wopts.stall_ms && wopts.stall_ms > 0) {
-            wopts.poll_ms = std::max<int64_t>(1, wopts.stall_ms / 2);
-          }
-          db.watchdog().SetOptions(wopts);
-          db.watchdog().Start();
-          std::printf("watchdog armed: stall=%lldms poll=%lldms cancel=%s\n",
+          std::printf("watchdog armed: stall=%lldms tick=%lldms cancel=%s\n",
                       static_cast<long long>(wopts.stall_ms),
-                      static_cast<long long>(wopts.poll_ms),
+                      static_cast<long long>(db.sampler().interval_ms()),
                       wopts.auto_cancel ? "on" : "off");
         }
       } else if (cmd == ".events") {
@@ -462,6 +456,9 @@ int main() {
       }
       continue;
     }
+    // A blank line before any statement text must not open a buffer, or
+    // the next `.`-command would be read as SQL.
+    if (trimmed.empty() && buffer.empty()) continue;
     buffer += line + "\n";
     if (trimmed.empty() || trimmed.back() != ';') continue;
 

@@ -1,5 +1,6 @@
 #include "api/database.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -152,6 +153,10 @@ Result<Value> EvalLiteralExpr(const ast::Expr& e) {
   }
 }
 
+// An execution whose worst q-error reaches this factor counts as a
+// plan.qerror_blowups (the series behind the qerror_blowups health rule).
+constexpr double kQErrorAlert = 100;
+
 int64_t NowUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -193,7 +198,6 @@ Database::Database(Env* env) : env_(env) {
   // diagnostics for a malformed value happen here.
   obs::FlightRecorder::Default().set_enabled(
       ParseEnvBool("XNFDB_EVENTS", true));
-  qerror_alert_ = ParseEnvInt("XNFDB_QERROR_ALERT", 1, 1 << 30, 100);
   // Crash forensics: a no-op unless XNFDB_CRASH_DIR is set. The gauge of
   // reports already on disk feeds the crash_reports health rule either way.
   InstallCrashHandlerFromEnv();
@@ -206,8 +210,8 @@ Database::Database(Env* env) : env_(env) {
   // The catalog is empty at this point, so name collisions are impossible.
   Status registered = RegisterSystemViews(&catalog_, metrics_, &digests_);
   (void)registered;
-  // SYS$QUERIES, SYS$EVENTS, SYS$HEALTH, SYS$ALERTS, SYS$METRICS_HISTORY
-  // and the watchdog are registered / created here rather than in
+  // SYS$QUERIES, SYS$EVENTS, SYS$HEALTH, SYS$ALERTS and
+  // SYS$METRICS_HISTORY are registered here rather than in
   // RegisterSystemViews because they expose api-layer or process-wide
   // state (governor, recorder, health engine, sampler), which storage
   // cannot depend on.
@@ -240,31 +244,37 @@ Database::Database(Env* env) : env_(env) {
   Status alerts_view =
       catalog_.RegisterVirtualTable(MakeAlertsProvider(&health_));
   (void)alerts_view;
-  obs::MetricsSampler::Options sopts;
-  sopts.interval_ms = ParseEnvInt("XNFDB_METRICS_SAMPLE_MS", 0,
-                                  int64_t{1} << 40, 0);
-  sopts.ring_capacity = static_cast<size_t>(
-      ParseEnvInt("XNFDB_METRICS_RING", 1, 1 << 20, 120));
-  sampler_ = std::make_unique<obs::MetricsSampler>(metrics_, sopts);
   Status history =
-      catalog_.RegisterVirtualTable(MakeMetricsHistoryProvider(sampler_.get()));
+      catalog_.RegisterVirtualTable(MakeMetricsHistoryProvider(&sampler_));
   (void)history;
-  // Health evaluation rides the sampler tick; the same tick refreshes the
-  // crash handler's metrics context (the handler cannot snapshot the
-  // registry itself — it only copies this pre-rendered buffer).
-  sampler_->SetOnSample(
+  // Health evaluation and the watchdog's scan ride the sampler tick; the
+  // same tick refreshes the crash handler's metrics context (the handler
+  // cannot snapshot the registry itself — it only copies this pre-rendered
+  // buffer).
+  sampler_.SetOnSample(
       [this](const std::vector<obs::MetricsSampler::Row>& rows) {
         health_.OnSample(rows);
+        if (watchdog_.options().stall_ms > 0) watchdog_.ScanOnce();
         if (CrashHandlerInstalled()) SetCrashContextMetrics(metrics_->ToJson());
       });
-  if (sopts.interval_ms > 0) sampler_->Start();
-  watchdog_ = std::make_unique<Watchdog>(&governor_, metrics_,
-                                         WatchdogOptions::FromEnv());
-  watchdog_->Start();  // no-op unless XNFDB_WATCHDOG_STALL_MS > 0
+  if (sample_ms_ > 0) sampler_.Start(sample_ms_);
+  SetWatchdogOptions(WatchdogOptions::FromEnv());
   // Pre-register every exec.* counter at zero so SYS$METRICS exposes the
   // full execution-counter surface (including batch/morsel visibility)
   // before the first query runs.
   ExecStats{}.PublishTo(metrics_);
+}
+
+void Database::SetWatchdogOptions(const WatchdogOptions& options) {
+  watchdog_.SetOptions(options);
+  // Without a sample interval the tick exists only for the watchdog: it
+  // runs at half the stall bound while armed and stops when disarmed.
+  if (sample_ms_ > 0) return;
+  if (options.stall_ms > 0) {
+    sampler_.Start(options.stall_ms / 2);  // Start clamps to >= 1 ms
+  } else {
+    sampler_.Stop();
+  }
 }
 
 Database::~Database() {
@@ -423,9 +433,9 @@ Result<QueryResult> Database::ExecuteGoverned(
   if (!serve && !compiled.needs_fixpoint && compiled.graph != nullptr) {
     serve = matviews_.TryServe(compiled.key, &mv);
     if (!serve) {
-      int64_t prior_calls = 0, prior_avg_us = 0;
-      digests_.Stats(compiled.digest, &prior_calls, &prior_avg_us);
-      capture = matviews_.WantCapture(compiled.key, prior_calls, prior_avg_us);
+      int64_t prior_calls = 0;
+      digests_.Stats(compiled.digest, &prior_calls, nullptr);
+      capture = matviews_.WantCapture(compiled.key, prior_calls);
       if (capture) eo.collect_dedup_counts = true;
     }
   }
@@ -478,9 +488,7 @@ Result<QueryResult> Database::ExecuteGoverned(
     for (const obs::OpFeedback& f : r.feedback) {
       if (f.est_rows >= 0 && f.q_error > worst_q) worst_q = f.q_error;
     }
-    if (worst_q >= static_cast<double>(qerror_alert_)) {
-      qerror_blowups_->Increment();
-    }
+    if (worst_q >= kQErrorAlert) qerror_blowups_->Increment();
     feedback = std::move(r.feedback);
     r.feedback.clear();
   }
@@ -739,7 +747,7 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
   {
     std::string samples;
     size_t n = 0;
-    for (const obs::MetricsSampler::Row& r : sampler_->History()) {
+    for (const obs::MetricsSampler::Row& r : sampler_.History()) {
       samples += std::to_string(r.sample_ts_us) + " " + r.name + " " + r.kind +
                  " value=" + std::to_string(r.value) +
                  " delta=" + std::to_string(r.delta) +
@@ -786,19 +794,17 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
     // to do?".
     static const char* const kKnobs[] = {
         "XNFDB_LOG_LEVEL", "XNFDB_LOG", "XNFDB_TRACE", "XNFDB_EVENTS",
-        "XNFDB_EVENT_RING", "XNFDB_CRASH_DIR", "XNFDB_QUERY_PROFILES",
-        "XNFDB_PLAN_FEEDBACK", "XNFDB_QERROR_ALERT", "XNFDB_METRICS_SAMPLE_MS",
-        "XNFDB_METRICS_RING", "XNFDB_WATCHDOG_STALL_MS",
-        "XNFDB_WATCHDOG_POLL_MS", "XNFDB_WATCHDOG_CANCEL",
-        "XNFDB_MAX_CONCURRENT_QUERIES", "XNFDB_QUERY_TIMEOUT_MS",
-        "XNFDB_MAX_RESULT_ROWS", "XNFDB_MEM_BUDGET_BYTES"};
+        "XNFDB_CRASH_DIR", "XNFDB_QUERY_PROFILES", "XNFDB_PLAN_FEEDBACK",
+        "XNFDB_METRICS_SAMPLE_MS", "XNFDB_WATCHDOG_STALL_MS",
+        "XNFDB_WATCHDOG_CANCEL", "XNFDB_MAX_CONCURRENT_QUERIES",
+        "XNFDB_QUERY_TIMEOUT_MS", "XNFDB_MAX_RESULT_ROWS",
+        "XNFDB_MEM_BUDGET_BYTES", "XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS",
+        "XNFDB_MORSEL_ROWS", "XNFDB_MATVIEWS", "XNFDB_MATVIEW_MAX_ROWS"};
     std::string envs;
-    size_t n = 0;
     for (const char* knob : kKnobs) {
       const char* raw = std::getenv(knob);
       envs += std::string(knob) + "=" + (raw != nullptr ? raw : "<unset>") +
               "\n";
-      ++n;
     }
     std::string resolved;
     resolved += "events_enabled=" +
@@ -811,9 +817,12 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
         "capture_profiles=" + std::to_string(capture_profiles_) + "\n";
     resolved +=
         "capture_feedback=" + std::to_string(capture_feedback_) + "\n";
-    resolved += "qerror_alert=" + std::to_string(qerror_alert_) + "\n";
-    write_file("env.diag", {{"ENV", n, std::move(envs)},
-                            {"RESOLVED", 6, std::move(resolved)}});
+    auto lines = [](const std::string& text) -> size_t {
+      return std::count(text.begin(), text.end(), '\n');
+    };
+    write_file("env.diag",
+               {{"ENV", lines(envs), std::move(envs)},
+                {"RESOLVED", lines(resolved), std::move(resolved)}});
   }
   {
     std::string lines;

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "api/governor.h"
@@ -20,6 +19,7 @@
 #include "matview/matview.h"
 #include "common/env.h"
 #include "common/status.h"
+#include "common/str_util.h"
 #include "exec/executor.h"
 #include "obs/digest_store.h"
 #include "obs/flight_recorder.h"
@@ -137,15 +137,16 @@ class Database {
   const obs::DigestStore& digest_store() const { return digests_; }
   obs::DigestStore& digest_store() { return digests_; }
 
-  // The metrics time-series sampler behind SYS$METRICS_HISTORY. Its
-  // background thread starts when XNFDB_METRICS_SAMPLE_MS > 0 (ring size
-  // XNFDB_METRICS_RING, default 120); SampleNow() works either way (shell
-  // `.sample`).
-  obs::MetricsSampler& sampler() { return *sampler_; }
-  const obs::MetricsSampler& sampler() const { return *sampler_; }
+  // The metrics time-series sampler behind SYS$METRICS_HISTORY (ring of
+  // 120 samples). Its thread is the engine's one background thread (morsel
+  // workers live only inside a query): it ticks every XNFDB_METRICS_SAMPLE_MS when that is > 0, else every
+  // max(1, stall_ms / 2) while the watchdog is armed, and is off otherwise.
+  // SampleNow() works either way (shell `.sample`).
+  obs::MetricsSampler& sampler() { return sampler_; }
+  const obs::MetricsSampler& sampler() const { return sampler_; }
 
   // The flight recorder behind SYS$EVENTS (the process-wide instance;
-  // XNFDB_EVENTS=0 disables recording, ring size XNFDB_EVENT_RING).
+  // XNFDB_EVENTS=0 disables recording; the ring holds 1024 events).
   obs::FlightRecorder& events() { return obs::FlightRecorder::Default(); }
 
   // The health/alert engine behind SYS$HEALTH and SYS$ALERTS. Built-in
@@ -167,11 +168,16 @@ class Database {
   // condenses.
   Status WriteDiagnosticBundle(const std::string& dir) const;
 
-  // The stuck-query watchdog. Its background thread starts when
-  // XNFDB_WATCHDOG_STALL_MS > 0 (poll cadence XNFDB_WATCHDOG_POLL_MS;
-  // XNFDB_WATCHDOG_CANCEL=1 turns reports into cooperative kills).
-  Watchdog& watchdog() { return *watchdog_; }
-  const Watchdog& watchdog() const { return *watchdog_; }
+  // The stuck-query watchdog. It scans on every sampler tick (background
+  // or SampleNow) while stall_ms > 0; XNFDB_WATCHDOG_STALL_MS arms it at
+  // construction and XNFDB_WATCHDOG_CANCEL=1 turns reports into
+  // cooperative kills.
+  Watchdog& watchdog() { return watchdog_; }
+  const Watchdog& watchdog() const { return watchdog_; }
+  // Arms (stall_ms > 0) or disarms the watchdog at runtime (shell
+  // `.watchdog <ms>|off`). Arming starts the sampler tick if it is not
+  // running; disarming stops it unless XNFDB_METRICS_SAMPLE_MS > 0.
+  void SetWatchdogOptions(const WatchdogOptions& options);
 
   // Slow-query log: any statement whose total wall time exceeds the
   // threshold emits one JSON line on the "slowlog" channel of
@@ -289,9 +295,8 @@ class Database {
   obs::Tracer tracer_{obs::Tracer::FromEnv{}};
   obs::MetricsRegistry* metrics_ = &obs::MetricsRegistry::Default();
   obs::Counter* server_calls_counter_ = metrics_->GetCounter("server.calls");
-  // Executions whose worst q-error reached XNFDB_QERROR_ALERT (the series
+  // Executions whose worst q-error reached the alert factor (the series
   // behind the qerror_blowups health rule).
-  int64_t qerror_alert_ = 100;
   obs::Counter* qerror_blowups_ =
       metrics_->GetCounter("plan.qerror_blowups");
   // Declared after metrics_ (counter handles) and before governor_ (DML
@@ -301,10 +306,14 @@ class Database {
   // Declared before sampler_: the sampler's on-sample callback evaluates
   // health rules, so the engine must outlive the sampler thread's join.
   obs::HealthEngine health_;
-  // Declared after governor_/metrics_/health_: both background threads
-  // observe them and must be destroyed (joined) first.
-  std::unique_ptr<obs::MetricsSampler> sampler_;
-  std::unique_ptr<Watchdog> watchdog_;
+  // Declared before sampler_: the on-sample callback scans with it.
+  Watchdog watchdog_{&governor_, metrics_, WatchdogOptions{}};
+  // XNFDB_METRICS_SAMPLE_MS; 0 leaves the tick to the watchdog.
+  const int64_t sample_ms_ =
+      ParseEnvInt("XNFDB_METRICS_SAMPLE_MS", 0, int64_t{1} << 40, 0);
+  // Declared after governor_/metrics_/health_/watchdog_: its background
+  // thread observes them and must be destroyed (joined) first.
+  obs::MetricsSampler sampler_{metrics_, {}};
 };
 
 }  // namespace xnfdb

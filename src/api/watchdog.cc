@@ -1,8 +1,8 @@
 #include "api/watchdog.h"
 
-#include <chrono>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/log.h"
 #include "common/str_util.h"
@@ -12,7 +12,6 @@ namespace xnfdb {
 WatchdogOptions WatchdogOptions::FromEnv() {
   WatchdogOptions o;
   o.stall_ms = ParseEnvInt("XNFDB_WATCHDOG_STALL_MS", 0, int64_t{1} << 40, 0);
-  o.poll_ms = ParseEnvInt("XNFDB_WATCHDOG_POLL_MS", 1, int64_t{1} << 40, 1000);
   o.auto_cancel = ParseEnvBool("XNFDB_WATCHDOG_CANCEL", false);
   return o;
 }
@@ -25,40 +24,9 @@ Watchdog::Watchdog(Governor* governor, obs::MetricsRegistry* metrics,
       cancelled_counter_(metrics->GetCounter("watchdog.cancelled")),
       options_(options) {}
 
-Watchdog::~Watchdog() { Stop(); }
-
-void Watchdog::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (thread_running_ || options_.stall_ms <= 0) return;
-  thread_running_ = true;
-  stop_requested_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void Watchdog::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!thread_running_) return;
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  thread_running_ = false;
-  stop_requested_ = false;
-}
-
-bool Watchdog::running() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return thread_running_;
-}
-
 void Watchdog::SetOptions(const WatchdogOptions& options) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    options_ = options;
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  options_ = options;
 }
 
 WatchdogOptions Watchdog::options() const {
@@ -69,19 +37,6 @@ WatchdogOptions Watchdog::options() const {
 int64_t Watchdog::scans() const {
   std::lock_guard<std::mutex> lock(mu_);
   return scans_;
-}
-
-void Watchdog::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_requested_) {
-    const int64_t poll_ms = options_.poll_ms > 0 ? options_.poll_ms : 1000;
-    cv_.wait_for(lock, std::chrono::milliseconds(poll_ms),
-                 [this] { return stop_requested_; });
-    if (stop_requested_) break;
-    lock.unlock();  // scanning takes the governor's lock; don't nest ours
-    ScanOnce();
-    lock.lock();
-  }
 }
 
 int Watchdog::ScanOnce() {

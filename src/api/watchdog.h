@@ -1,5 +1,7 @@
-// Stuck-query watchdog: a background thread that scans the governor's live
-// queries and flags the ones whose progress has stopped.
+// Stuck-query watchdog: scans the governor's live queries and flags the
+// ones whose progress has stopped. It owns no thread: the Database runs
+// ScanOnce on every metrics-sampler tick while stall_ms > 0 (the sampler is
+// the engine's one background thread besides the morsel workers).
 //
 // "Stuck" is defined by the operator wrappers' progress heartbeat
 // (QueryContext::Tick, bumped at every Open/NextBatch): a *running* query
@@ -22,12 +24,9 @@
 #ifndef XNFDB_API_WATCHDOG_H_
 #define XNFDB_API_WATCHDOG_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 #include "api/governor.h"
 #include "obs/metrics.h"
@@ -36,16 +35,14 @@ namespace xnfdb {
 
 struct WatchdogOptions {
   // A running query is stalled when its progress fingerprint is unchanged
-  // for this long. <= 0 disables the background thread (ScanOnce still
-  // works for tests / shell `.watchdog`).
+  // for this long. <= 0 disarms the sampler-tick scan (ScanOnce still works
+  // for tests).
   int64_t stall_ms = 0;
-  // Scan cadence of the background thread.
-  int64_t poll_ms = 1000;
   // Cancel stalled queries instead of only reporting them.
   bool auto_cancel = false;
 
-  // Reads XNFDB_WATCHDOG_STALL_MS (default 0 = off), XNFDB_WATCHDOG_POLL_MS
-  // (default 1000) and XNFDB_WATCHDOG_CANCEL (default 0).
+  // Reads XNFDB_WATCHDOG_STALL_MS (default 0 = off) and
+  // XNFDB_WATCHDOG_CANCEL (default 0).
   static WatchdogOptions FromEnv();
 };
 
@@ -53,32 +50,23 @@ class Watchdog {
  public:
   Watchdog(Governor* governor, obs::MetricsRegistry* metrics,
            WatchdogOptions options);
-  ~Watchdog();
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  // Starts/stops the background scanner; both idempotent. Start is a no-op
-  // while stall_ms <= 0.
-  void Start();
-  void Stop();
-  bool running() const;
-
-  // Reconfigures at runtime (shell `.watchdog <ms>|off`); takes effect on
+  // Reconfigures at runtime (Database::SetWatchdogOptions); takes effect on
   // the next scan.
   void SetOptions(const WatchdogOptions& options);
   WatchdogOptions options() const;
 
-  // One synchronous scan over the governor's live queries (the background
-  // thread calls this; tests and the shell may too). Returns the number of
-  // queries flagged as stalled by *this* scan.
+  // One synchronous scan over the governor's live queries (the sampler
+  // tick calls this; tests may too). Returns the number of queries flagged
+  // as stalled by *this* scan.
   int ScanOnce();
 
   // Scans performed since construction.
   int64_t scans() const;
 
  private:
-  void Loop();
-
   // Last observed progress fingerprint of one live query id.
   struct Track {
     int64_t ticks = -1;
@@ -94,11 +82,7 @@ class Watchdog {
   obs::Counter* cancelled_counter_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   WatchdogOptions options_;
-  bool thread_running_ = false;
-  bool stop_requested_ = false;
-  std::thread thread_;
   std::map<int64_t, Track> tracks_;  // by query id; pruned on each scan
   int64_t scans_ = 0;
 };

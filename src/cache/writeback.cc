@@ -232,9 +232,13 @@ Result<RelationshipPlan> WriteBackPlanner::AnalyzeRelationship(
     return plan;
   }
 
-  // Resolves a qualifier to parent/child/using.
+  // Resolves a qualifier to parent/child/using. In a self-relationship
+  // (RELATE xpart VIA USES, xpart) the role names the parent and the bare
+  // component name the child.
+  const bool self_rel =
+      !rd.role.empty() && IdentEquals(rd.parent, rd.children[0]);
   auto side_of = [&](const std::string& qualifier) -> int {
-    if (IdentEquals(qualifier, rd.parent) ||
+    if ((!self_rel && IdentEquals(qualifier, rd.parent)) ||
         (!rd.role.empty() && IdentEquals(qualifier, rd.role))) {
       return 0;  // parent
     }

@@ -107,11 +107,6 @@ void WalkOutput(const qgm::QueryGraph& g, int box_id, OutputRefs* r) {
 MatViewConfig MatViewConfig::FromEnv() {
   MatViewConfig c;
   c.enabled = ParseEnvBool("XNFDB_MATVIEWS", true);
-  c.auto_calls = ParseEnvInt("XNFDB_MATVIEW_AUTO_CALLS", 1, 1 << 30, 2);
-  c.auto_min_avg_us =
-      ParseEnvInt("XNFDB_MATVIEW_AUTO_US", 0, int64_t{1} << 40, 0);
-  c.max_views = static_cast<size_t>(
-      ParseEnvInt("XNFDB_MATVIEW_MAX", 1, 1 << 20, 32));
   c.max_rows =
       ParseEnvInt("XNFDB_MATVIEW_MAX_ROWS", 1, int64_t{1} << 40, 1 << 20);
   return c;
@@ -234,16 +229,14 @@ void MatViewStore::DropAliases() {
   for (auto& [key, e] : entries_) e.aliases.clear();
 }
 
-bool MatViewStore::WantCapture(uint64_t key, int64_t prior_calls,
-                               int64_t prior_avg_us) const {
+bool MatViewStore::WantCapture(uint64_t key, int64_t prior_calls) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return false;
   auto it = entries_.find(key);
   // A known entry that did not serve is stale (or empty-pinned): refresh.
   if (it != entries_.end()) return !it->second.fresh;
   if (entries_.size() >= config_.max_views) return false;
-  return prior_calls + 1 >= config_.auto_calls &&
-         prior_avg_us >= config_.auto_min_avg_us;
+  return prior_calls + 1 >= config_.auto_calls;
 }
 
 Status MatViewStore::Store(uint64_t key, uint64_t digest,
@@ -266,7 +259,8 @@ Status MatViewStore::Store(uint64_t key, uint64_t digest,
   if (!existed && entries_.size() >= config_.max_views) {
     rejects_->Increment();
     return Status::ResourceExhausted(
-        "matview: store is full (XNFDB_MATVIEW_MAX)");
+        "matview: store is full (" + std::to_string(config_.max_views) +
+        " views)");
   }
 
   Entry e;
@@ -415,7 +409,8 @@ Status MatViewStore::Pin(const std::string& name, uint64_t key,
   if (entries_.size() >= config_.max_views) {
     rejects_->Increment();
     return Status::ResourceExhausted(
-        "matview: store is full (XNFDB_MATVIEW_MAX)");
+        "matview: store is full (" + std::to_string(config_.max_views) +
+        " views)");
   }
   Entry e;
   e.name = name;

@@ -50,16 +50,17 @@
 
 namespace xnfdb {
 
-// Env-derived knobs. XNFDB_MATVIEWS=0 is the kill switch; the rest bound
-// the policy (see FromEnv for names and defaults).
+// Store policy. XNFDB_MATVIEWS=0 is the kill switch and
+// XNFDB_MATVIEW_MAX_ROWS bounds stored results; the rest are constants.
 struct MatViewConfig {
   bool enabled = true;
   // Auto-materialization: capture the result of an execution when the
-  // statement shape's call count (including this call) reaches auto_calls
-  // and its mean latency so far is at least auto_min_avg_us.
-  int64_t auto_calls = 2;        // XNFDB_MATVIEW_AUTO_CALLS
-  int64_t auto_min_avg_us = 0;   // XNFDB_MATVIEW_AUTO_US
-  size_t max_views = 32;         // XNFDB_MATVIEW_MAX
+  // statement shape's call count (including this call) reaches auto_calls.
+  // Any mean latency qualifies: auto_min_avg_us stays 0 and is kept only
+  // for the xnfbench run record, which prints it.
+  static constexpr int64_t auto_calls = 2;
+  static constexpr int64_t auto_min_avg_us = 0;
+  static constexpr size_t max_views = 32;
   // Bounded materialization/refresh: results (and per-DML delta
   // derivations) larger than this are never stored.
   int64_t max_rows = 1 << 20;    // XNFDB_MATVIEW_MAX_ROWS
@@ -168,10 +169,9 @@ class MatViewStore {
 
   // Policy: should the Database capture (collect_dedup_counts + Store) the
   // execution about to run? True for a known-but-stale entry (refresh, also
-  // the pinned case) or when the auto thresholds are met. `prior_calls` /
-  // `prior_avg_us` come from DigestStore::Stats for the statement's digest.
-  bool WantCapture(uint64_t key, int64_t prior_calls,
-                   int64_t prior_avg_us) const;
+  // the pinned case) or when the auto threshold is met. `prior_calls`
+  // comes from DigestStore::Stats for the statement's digest.
+  bool WantCapture(uint64_t key, int64_t prior_calls) const;
 
   // Stores one successful execution as the fresh materialization of `key`
   // (the statement's `digest` and normalized `text` ride along). Analyzes

@@ -74,19 +74,11 @@ FlightRecorder::FlightRecorder(size_t capacity)
 
 FlightRecorder& FlightRecorder::Default() {
   static FlightRecorder* recorder = [] {
-    // Raw env reads on purpose: obs sits below common, so ParseEnvInt /
-    // ParseEnvBool (and their warn-once diagnostics) are not linkable from
-    // here. The Database constructor re-resolves both knobs through the
-    // checked parsers and pushes the result back via set_enabled.
-    size_t capacity = kDefaultCapacity;
-    if (const char* raw = std::getenv("XNFDB_EVENT_RING")) {
-      char* end = nullptr;
-      long long v = std::strtoll(raw, &end, 10);
-      if (end != raw && *end == '\0' && v >= 16 && v <= (1 << 20)) {
-        capacity = static_cast<size_t>(v);
-      }
-    }
-    auto* r = new FlightRecorder(capacity);  // never dies: see header
+    // Raw env read on purpose: obs sits below common, so ParseEnvBool
+    // (and its warn-once diagnostics) is not linkable from here. The
+    // Database constructor re-resolves the knob through the checked parser
+    // and pushes the result back via set_enabled.
+    auto* r = new FlightRecorder(kDefaultCapacity);  // never dies: see header
     if (const char* raw = std::getenv("XNFDB_EVENTS")) {
       if (std::strcmp(raw, "0") == 0) r->set_enabled(false);
     }

@@ -21,11 +21,11 @@
 //    `repeated` count instead of flooding the ring — a wedged retry loop
 //    leaves one event saying "xN", not N copies of itself.
 //
-// The process-wide instance (`Default()`) sizes its ring from
-// XNFDB_EVENT_RING (default 1024 events) and starts disabled when
-// XNFDB_EVENTS=0. Both are read with plain getenv here — obs sits below
-// common, so the checked ParseEnvBool/ParseEnvInt re-resolution (with its
-// warn-once behavior) happens in the Database constructor.
+// The process-wide instance (`Default()`) holds kDefaultCapacity (1024)
+// events and starts disabled when XNFDB_EVENTS=0. That knob is read with
+// plain getenv here — obs sits below common, so the checked ParseEnvBool
+// re-resolution (with its warn-once behavior) happens in the Database
+// constructor.
 
 #ifndef XNFDB_OBS_FLIGHT_RECORDER_H_
 #define XNFDB_OBS_FLIGHT_RECORDER_H_
@@ -64,8 +64,8 @@ class FlightRecorder {
 
   static constexpr size_t kDefaultCapacity = 1024;
 
-  // The process-wide recorder every subsystem feeds (ring size
-  // XNFDB_EVENT_RING; XNFDB_EVENTS=0 starts it disabled). Never destroyed:
+  // The process-wide recorder every subsystem feeds (kDefaultCapacity
+  // events; XNFDB_EVENTS=0 starts it disabled). Never destroyed:
   // event sites may run during process teardown.
   static FlightRecorder& Default();
 

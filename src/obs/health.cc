@@ -100,8 +100,8 @@ std::vector<HealthRule> HealthEngine::BuiltinRules() {
            "stopped advancing"),
       rule("qerror_blowups", "plan.qerror_blowups", HealthRule::Field::kDelta,
            HealthRule::Cmp::kGt, 0,
-           "executions whose worst cardinality estimate missed by more than "
-           "the XNFDB_QERROR_ALERT factor"),
+           "executions whose worst cardinality estimate missed by a factor "
+           "of 100 or more"),
       rule("crash_reports", "crash.reports_found", HealthRule::Field::kValue,
            HealthRule::Cmp::kGt, 0,
            "crash reports present in XNFDB_CRASH_DIR from previous runs"),

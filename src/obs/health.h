@@ -21,7 +21,7 @@
 // Built-in rules (BuiltinRules) cover the failure modes the engine already
 // detects: writeback failures, governor admission rejections, watchdog
 // stall flags, q-error blowups (plan.qerror_blowups, bumped by the
-// Database when an execution's worst q-error crosses XNFDB_QERROR_ALERT),
+// Database when an execution's worst q-error reaches 100),
 // and crash reports found on disk (crash.reports_found > 0).
 
 #ifndef XNFDB_OBS_HEALTH_H_

@@ -1,5 +1,6 @@
 #include "obs/sampler.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace xnfdb {
@@ -15,11 +16,15 @@ MetricsSampler::MetricsSampler(MetricsRegistry* registry, Options options)
 
 MetricsSampler::~MetricsSampler() { Stop(); }
 
-void MetricsSampler::Start() {
+void MetricsSampler::Start(int64_t interval_ms) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (running_) return;
+    interval_ms_ = std::max<int64_t>(1, interval_ms);
+    if (running_) {
+      cv_.notify_all();  // the waiting tick restarts with the new interval
+      return;
+    }
     running_ = true;
     stop_requested_ = false;
   }
@@ -45,17 +50,20 @@ bool MetricsSampler::running() const {
   return running_;
 }
 
+int64_t MetricsSampler::interval_ms() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return interval_ms_;
+}
+
 void MetricsSampler::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_requested_) {
-    if (options_.interval_ms <= 0) {
-      // Manual-only mode: the thread idles; samples come from SampleNow.
-      cv_.wait(lock, [this] { return stop_requested_; });
-      break;
+    const int64_t interval_ms = interval_ms_;
+    if (cv_.wait_for(lock, std::chrono::milliseconds(interval_ms), [&] {
+          return stop_requested_ || interval_ms_ != interval_ms;
+        })) {
+      continue;
     }
-    cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms),
-                 [this] { return stop_requested_; });
-    if (stop_requested_) break;
     std::vector<Row> rows = TakeSampleLocked();
     lock.unlock();
     NotifySample(rows);

@@ -20,8 +20,9 @@
 // path) and evicts the oldest sample at capacity. `SampleNow()` takes one
 // sample synchronously, which is what the shell's `.sample` and the CI
 // smoke use to make history content deterministic; `Start()`/`Stop()` run
-// the background thread (`XNFDB_METRICS_SAMPLE_MS` — resolved by the
-// Database, which owns the sampler's lifecycle).
+// the background thread. The Database owns the sampler's lifecycle: its
+// tick also carries health evaluation and the stuck-query watchdog's scan,
+// so it runs when XNFDB_METRICS_SAMPLE_MS > 0 or XNFDB_WATCHDOG_STALL_MS > 0.
 
 #ifndef XNFDB_OBS_SAMPLER_H_
 #define XNFDB_OBS_SAMPLER_H_
@@ -45,9 +46,6 @@ namespace obs {
 class MetricsSampler {
  public:
   struct Options {
-    // Background sampling interval; <= 0 means "manual only" (the thread,
-    // if started, idles until Stop, and samples come from SampleNow).
-    int64_t interval_ms = 1000;
     // Samples retained; the oldest is evicted at capacity.
     size_t ring_capacity = 120;
   };
@@ -67,11 +65,15 @@ class MetricsSampler {
   MetricsSampler& operator=(const MetricsSampler&) = delete;
   ~MetricsSampler();
 
-  // Starts/stops the background sampling thread. Both are idempotent and
-  // safe to call from any thread; Stop joins the thread before returning.
-  void Start();
+  // Starts the background thread sampling every `interval_ms` (at least
+  // 1), or changes the interval of the running thread, which picks it up
+  // at once. Stop joins the thread before returning and is idempotent.
+  // Both are safe to call from any thread.
+  void Start(int64_t interval_ms);
   void Stop();
   bool running() const;
+  // The interval of the running thread (or of the last one).
+  int64_t interval_ms() const;
 
   // Takes one sample synchronously (deterministic histories for tests, the
   // shell `.sample` command, and the CI smoke).
@@ -130,6 +132,7 @@ class MetricsSampler {
   std::condition_variable cv_;
   bool stop_requested_ = false;
   bool running_ = false;
+  int64_t interval_ms_ = 0;
   std::deque<Sample> ring_;
   std::map<std::string, int64_t> prev_;  // last value per series, for deltas
   int64_t prev_ts_us_ = -1;

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <sstream>
@@ -241,9 +242,20 @@ TEST(DiagnosticBundleTest, BundleIsACompleteSetOfCheckedFiles) {
   std::vector<FileSection> env = ReadDiagFile(dir + "/env.diag");
   ASSERT_EQ(env.size(), 2u);
   EXPECT_EQ(env[0].name, "ENV");
-  EXPECT_NE(env[0].payload.find("XNFDB_EVENTS="), std::string::npos);
+  // Every knob the engine reads is listed, one per line, including the
+  // execution knobs CI reruns the suite with.
+  EXPECT_EQ(env[0].records, 19u);
+  EXPECT_EQ(std::count(env[0].payload.begin(), env[0].payload.end(), '\n'),
+            19);
+  for (const char* knob :
+       {"XNFDB_EVENTS=", "XNFDB_MATVIEWS=", "XNFDB_BATCH_SIZE=",
+        "XNFDB_MORSEL_WORKERS=", "XNFDB_MORSEL_ROWS="}) {
+    EXPECT_NE(env[0].payload.find(knob), std::string::npos) << knob;
+  }
   EXPECT_EQ(env[1].name, "RESOLVED");
   EXPECT_NE(env[1].payload.find("events_enabled="), std::string::npos);
+  EXPECT_EQ(static_cast<int64_t>(env[1].records),
+            std::count(env[1].payload.begin(), env[1].payload.end(), '\n'));
 
   std::vector<FileSection> manifest = ReadDiagFile(dir + "/MANIFEST.diag");
   ASSERT_EQ(manifest.size(), 1u);

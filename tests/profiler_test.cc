@@ -54,7 +54,6 @@ TEST(SamplerTest, RingEvictsOldestAtCapacity) {
   obs::MetricsRegistry registry;
   registry.GetCounter("c")->Increment(10);
   obs::MetricsSampler::Options opts;
-  opts.interval_ms = 0;  // manual only
   opts.ring_capacity = 3;
   obs::MetricsSampler sampler(&registry, opts);
 
@@ -84,9 +83,7 @@ TEST(SamplerTest, RingEvictsOldestAtCapacity) {
 TEST(SamplerTest, DeltasAndRatesTrackCounterGrowth) {
   obs::MetricsRegistry registry;
   obs::Counter* c = registry.GetCounter("work.done");
-  obs::MetricsSampler::Options opts;
-  opts.interval_ms = 0;
-  obs::MetricsSampler sampler(&registry, opts);
+  obs::MetricsSampler sampler(&registry, {});
 
   c->Increment(7);
   sampler.SampleNow();
@@ -114,9 +111,7 @@ TEST(SamplerTest, HistogramsExpandToCountAndQuantiles) {
   obs::MetricsRegistry registry;
   registry.GetHistogram("lat.us")->Observe(100);
   registry.GetHistogram("lat.us")->Observe(200);
-  obs::MetricsSampler::Options opts;
-  opts.interval_ms = 0;
-  obs::MetricsSampler sampler(&registry, opts);
+  obs::MetricsSampler sampler(&registry, {});
   sampler.SampleNow();
 
   std::set<std::string> names;
@@ -131,13 +126,11 @@ TEST(SamplerTest, HistogramsExpandToCountAndQuantiles) {
 TEST(SamplerTest, BackgroundThreadTakesSamples) {
   obs::MetricsRegistry registry;
   registry.GetCounter("c")->Increment();
-  obs::MetricsSampler::Options opts;
-  opts.interval_ms = 5;
-  obs::MetricsSampler sampler(&registry, opts);
+  obs::MetricsSampler sampler(&registry, {});
 
-  sampler.Start();
+  sampler.Start(5);
   EXPECT_TRUE(sampler.running());
-  sampler.Start();  // idempotent
+  sampler.Start(5);  // idempotent
   EXPECT_TRUE(WaitFor([&] { return sampler.samples_taken() >= 2; }));
   sampler.Stop();
   EXPECT_FALSE(sampler.running());
@@ -148,7 +141,6 @@ TEST(SamplerTest, StartStopRacesAreSafe) {
   obs::MetricsRegistry registry;
   obs::Counter* c = registry.GetCounter("c");
   obs::MetricsSampler::Options opts;
-  opts.interval_ms = 1;
   opts.ring_capacity = 8;
   obs::MetricsSampler sampler(&registry, opts);
 
@@ -156,7 +148,7 @@ TEST(SamplerTest, StartStopRacesAreSafe) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&sampler, c] {
       for (int i = 0; i < 25; ++i) {
-        sampler.Start();
+        sampler.Start(1);
         c->Increment();
         sampler.SampleNow();
         sampler.Stop();
@@ -428,23 +420,35 @@ TEST(QueryProfileTest, MorselExecutionRecordsWorkerRows) {
 
 // --- watchdog --------------------------------------------------------------
 
-TEST(WatchdogTest, StartIsNoopWhileDisabledAndIdempotentWhenArmed) {
+// The watchdog owns no thread: its scan rides the sampler tick. With
+// neither XNFDB_METRICS_SAMPLE_MS nor XNFDB_WATCHDOG_STALL_MS set the tick
+// is off; arming the watchdog alone starts it at half the stall bound, each
+// tick both samples and scans, and disarming stops it again.
+TEST(WatchdogTest, ArmingAloneStartsTheSamplerTick) {
   Database db;
-  EXPECT_FALSE(db.watchdog().running());  // stall_ms defaults to 0
-  db.watchdog().Start();
-  EXPECT_FALSE(db.watchdog().running());
+  EXPECT_FALSE(db.sampler().running());
+  obs::Counter* scans = db.metrics().GetCounter("watchdog.scans");
+  obs::Counter* samples = db.metrics().GetCounter("sampler.samples");
+  const int64_t scans_before = scans->value();
+  const int64_t samples_before = samples->value();
 
-  WatchdogOptions o = db.watchdog().options();
-  o.stall_ms = 50;
-  o.poll_ms = 5;
-  db.watchdog().SetOptions(o);
-  db.watchdog().Start();
-  EXPECT_TRUE(db.watchdog().running());
-  db.watchdog().Start();  // idempotent
-  EXPECT_TRUE(db.watchdog().running());
-  db.watchdog().Stop();
-  EXPECT_FALSE(db.watchdog().running());
-  db.watchdog().Stop();  // idempotent
+  WatchdogOptions o;
+  o.stall_ms = 10;
+  db.SetWatchdogOptions(o);
+  EXPECT_TRUE(db.sampler().running());
+  EXPECT_EQ(db.sampler().interval_ms(), 5);
+  EXPECT_TRUE(WaitFor([&] {
+    return scans->value() >= scans_before + 2 &&
+           samples->value() >= samples_before + 2;
+  }));
+
+  o.stall_ms = 0;
+  db.SetWatchdogOptions(o);
+  EXPECT_FALSE(db.sampler().running());
+  // Disarmed: a sample no longer scans.
+  const int64_t scans_off = db.watchdog().scans();
+  db.sampler().SampleNow();
+  EXPECT_EQ(db.watchdog().scans(), scans_off);
 }
 
 TEST(WatchdogTest, DoesNotFlagQueriesThatFinishNormally) {
@@ -455,14 +459,13 @@ TEST(WatchdogTest, DoesNotFlagQueriesThatFinishNormally) {
 
   WatchdogOptions o;
   o.stall_ms = 10000;  // far beyond any test query
-  o.poll_ms = 1;
-  db.watchdog().SetOptions(o);
-  db.watchdog().Start();
+  db.SetWatchdogOptions(o);
+  db.sampler().Start(1);  // tick faster than half the stall bound
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(db.Execute("SELECT * FROM EMP").ok());
   }
   EXPECT_TRUE(WaitFor([&] { return db.watchdog().scans() >= 3; }));
-  db.watchdog().Stop();
+  db.SetWatchdogOptions(WatchdogOptions{});
   EXPECT_EQ(db.metrics().GetCounter("watchdog.stalled")->value(),
             stalled_before);
 }
@@ -511,11 +514,9 @@ TEST(WatchdogTest, AutoCancelKillsStalledQuery) {
   int64_t cancelled_before =
       db.metrics().GetCounter("watchdog.cancelled")->value();
   WatchdogOptions o;
-  o.stall_ms = 30;
-  o.poll_ms = 5;
+  o.stall_ms = 30;  // the tick runs every 15ms
   o.auto_cancel = true;
-  db.watchdog().SetOptions(o);
-  db.watchdog().Start();
+  db.SetWatchdogOptions(o);
 
   obs::Counter* cancelled = db.metrics().GetCounter("watchdog.cancelled");
   std::thread releaser([&] {
@@ -527,7 +528,7 @@ TEST(WatchdogTest, AutoCancelKillsStalledQuery) {
 
   Result<QueryResult> r = db.Query("SELECT * FROM SLEEPY");
   releaser.join();
-  db.watchdog().Stop();
+  db.SetWatchdogOptions(WatchdogOptions{});
   Logger::Default().SetSink(nullptr);
 
   ASSERT_FALSE(r.ok()) << "stalled query was not cancelled";
@@ -561,9 +562,8 @@ TEST(WatchdogTest, ScanOnceReportsWithoutCancelWhenAutoCancelOff) {
       db.metrics().GetCounter("watchdog.stalled")->value();
   WatchdogOptions o;
   o.stall_ms = 20;
-  o.poll_ms = 1000000;  // background thread effectively dormant
   o.auto_cancel = false;
-  db.watchdog().SetOptions(o);
+  db.watchdog().SetOptions(o);  // armed without a tick: manual scans only
 
   obs::Counter* stalled = db.metrics().GetCounter("watchdog.stalled");
   std::thread runner([&] {

@@ -184,6 +184,44 @@ TEST_F(WriteBackTest, DisconnectThenWriteBackDeletesConnectRow) {
   EXPECT_TRUE(check.value().rows().empty());
 }
 
+// In a self-relationship the role names the parent and the bare component
+// name the child, so both equalities find their side and a connect writes
+// one connect-table row from the parent to the child.
+TEST_F(WriteBackTest, SelfRelationshipConnectWritesConnectRow) {
+  ASSERT_TRUE(db_.ExecuteScript(
+                     "CREATE TABLE PART (PNO INTEGER);"
+                     "CREATE TABLE CONNECTION (CFROM INTEGER, CTO INTEGER);"
+                     "INSERT INTO PART VALUES (1), (2), (3);"
+                     "INSERT INTO CONNECTION VALUES (1, 2), (1, 3);")
+                  .ok());
+  Result<std::unique_ptr<XNFCache>> cache = XNFCache::Evaluate(
+      &db_,
+      "OUT OF root AS (SELECT * FROM PART WHERE PNO = 1), xpart AS PART, "
+      "anchor AS (RELATE root VIA ANCHORS, xpart USING CONNECTION c "
+      "           WHERE root.PNO = c.CFROM AND c.CTO = xpart.PNO), "
+      "links AS (RELATE xpart VIA LINKS, xpart USING CONNECTION c "
+      "          WHERE links.PNO = c.CFROM AND c.CTO = xpart.PNO) "
+      "TAKE *");
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  cache_ = std::move(cache).value();
+  ComponentTable* parts = cache_->workspace().component("XPART").value();
+  CachedRow* from = parts->FindByValue(0, Value(int64_t{2}));
+  CachedRow* to = parts->FindByValue(0, Value(int64_t{3}));
+  ASSERT_NE(from, nullptr);
+  ASSERT_NE(to, nullptr);
+  ASSERT_TRUE(cache_->workspace().Connect("LINKS", from, to).ok());
+  Result<std::vector<std::string>> stmts = cache_->WriteBack();
+  ASSERT_TRUE(stmts.ok()) << stmts.status().ToString();
+  EXPECT_EQ(stmts.value(),
+            std::vector<std::string>{"INSERT INTO CONNECTION VALUES (2, 3)"});
+  Result<QueryResult> check =
+      db_.Query("SELECT CFROM, CTO FROM CONNECTION WHERE CFROM = 2");
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  ASSERT_EQ(check.value().rows().size(), 1u);
+  EXPECT_EQ(check.value().rows()[0][0].AsInt(), 2);
+  EXPECT_EQ(check.value().rows()[0][1].AsInt(), 3);
+}
+
 // DOUBLE values are written with the shortest digits that read back
 // exactly, and always as DOUBLE literals, so the server stores exactly the
 // cached value.
