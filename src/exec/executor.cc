@@ -15,7 +15,9 @@ namespace xnfdb {
 namespace {
 
 // Observes the elapsed microseconds since `t0` into `metrics[name]`; no-op
-// without a registry.
+// without a registry. It counts the microsecond ticks passed, as trace
+// spans do: truncating each phase's duration would undercount phases of a
+// few microseconds (planning a spool reader) by half a microsecond each.
 class PhaseTimer {
  public:
   PhaseTimer(obs::MetricsRegistry* metrics, const char* name)
@@ -23,10 +25,13 @@ class PhaseTimer {
         t0_(std::chrono::steady_clock::now()) {}
   ~PhaseTimer() {
     if (metrics_ == nullptr) return;
-    int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - t0_)
-                     .count();
-    metrics_->GetHistogram(name_)->Observe(us);
+    auto ticks = [](std::chrono::steady_clock::time_point t) {
+      return std::chrono::duration_cast<std::chrono::microseconds>(
+                 t.time_since_epoch())
+          .count();
+    };
+    metrics_->GetHistogram(name_)->Observe(
+        ticks(std::chrono::steady_clock::now()) - ticks(t0_));
   }
 
  private:
@@ -108,7 +113,8 @@ Rid ResolveMorselRows(int64_t requested) {
 
 void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg) {
   const Operator::Actuals& a = op->actuals();
-  int64_t child_ns = 0;
+  auto* reader = dynamic_cast<MaterializedOp*>(op);
+  int64_t child_ns = reader != nullptr ? reader->build_ns() : 0;
   for (Operator* c : op->Children()) {
     child_ns += c->actuals().ns;
     AccumulateTree(c, agg);
@@ -120,6 +126,12 @@ void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg) {
   p.batches += a.batches;
   p.incl_us += a.ns / 1000;
   p.self_us += std::max<int64_t>(0, a.ns - child_ns) / 1000;
+}
+
+void PrepareTree(Operator* op, const ExecOptions& options) {
+  if (options.analyze) op->EnableAnalyze();
+  if (options.collect_profile) op->EnableProfile();
+  if (options.context != nullptr) op->AttachContext(options.context.get());
 }
 
 Result<QueryResult> ExecuteGraph(const Catalog& catalog,
@@ -142,9 +154,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   const Rid morsel_rows = ResolveMorselRows(options.morsel_rows);
   QueryContext* ctx = options.context.get();
   PlanOptions plan_options = options.plan;
-  plan_options.analyze = options.analyze;
   plan_options.batch_size = batch_size;
-  plan_options.context = ctx;  // governs spool builds and returned trees
   Planner planner(&catalog, &graph, plan_options, &run_stats);
 
   // Output descriptors.
@@ -217,23 +227,10 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     int idx = 0;
     feedback_walk(oi, &idx, root);
   };
-  auto capture_shape = [&](int oi, const qgm::TopOutput& out, Operator* op) {
-    if (!collect_feedback) return;
-    shapes[oi] = out.name + "=" + PlanShapeText(op);
-  };
 
   auto record_tree = [&](Operator* op) {
     if (!collect_profile) return;
     AccumulateTree(op, &profile_ops);
-  };
-
-  // Renders the annotated plan tree of one finished output (analyze mode).
-  auto capture_plan = [&](int oi, const qgm::TopOutput& out, Operator* op) {
-    if (!options.analyze) return;
-    std::string text = "output " + out.name +
-                       (out.is_connection ? " [connection]" : "") + ":\n";
-    op->Explain(1, &text);
-    plan_texts[oi] = std::move(text);
   };
 
   // Tags one projected component row and appends it to the output buffer
@@ -260,6 +257,43 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     return Status::Ok();
   };
 
+  // Appends the connection of one row's partners to the output buffer,
+  // once per distinct tid tuple (`seen`).
+  auto emit_connection = [&](int oi, const qgm::TopOutput& out,
+                             const Tuple& row,
+                             std::set<std::vector<TupleId>>* seen) -> Status {
+    std::vector<TupleId> partner_tids;
+    for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
+      const std::string& partner = out.partner_names[pi];
+      auto tit = tids.find(partner);
+      if (tit == tids.end()) {
+        return Status::Internal("connection partner '" + partner +
+                                "' is not an output component");
+      }
+      Tuple key = ProjectCols(row, out.partner_cols[pi]);
+      auto it = tit->second.ids.find(key);
+      if (it == tit->second.ids.end()) {
+        // The partner row did not appear in its component stream (can
+        // happen only for non-reachable setups); drop the connection to
+        // keep the answer closed.
+        return Status::Ok();
+      }
+      partner_tids.push_back(it->second);
+    }
+    if (collect_counts) ++result.connection_counts[oi][partner_tids];
+    if (!seen->insert(partner_tids).second) {
+      return Status::Ok();  // duplicate connection
+    }
+    if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
+    StreamItem item;
+    item.kind = StreamItem::Kind::kConnection;
+    item.output = oi;
+    item.tids = std::move(partner_tids);
+    ++run_stats.rows_output;
+    buffers[oi].push_back(std::move(item));
+    return Status::Ok();
+  };
+
   // Morsel-parallel evaluation of one component output: `workers` plan
   // clones share a morsel dispenser on their driver scans; each claimed
   // morsel's rows land in that morsel's private bucket, and the buckets
@@ -276,7 +310,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       XNFDB_ASSIGN_OR_RETURN(OperatorPtr extra, planner.BoxIterator(out.box_id));
       ScanOp* d = extra->MorselDriver();
       if (d == nullptr || d->table() != first_driver->table()) break;
-      if (collect_profile) extra->EnableProfile();
+      PrepareTree(extra.get(), options);
       plans.push_back(std::move(extra));
       drivers.push_back(d);
     }
@@ -368,10 +402,16 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     return Status::Ok();
   };
 
-  // Pass 1: component streams (tuple ids assigned; XNF components dedup).
-  for (int oi = 0; oi < n_outputs; ++oi) {
+  // Component streams first (tuple ids assigned; XNF components dedup),
+  // then connection streams (tid maps are read-only by then).
+  std::vector<int> order;
+  for (bool connections : {false, true}) {
+    for (int oi = 0; oi < n_outputs; ++oi) {
+      if (top->outputs[oi].is_connection == connections) order.push_back(oi);
+    }
+  }
+  for (int oi : order) {
     const qgm::TopOutput& out = top->outputs[oi];
-    if (out.is_connection) continue;
     obs::Span plan_span;
     if (options.tracer != nullptr) {
       plan_span = options.tracer->StartSpan("plan " + out.name);
@@ -380,9 +420,11 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     {
       PhaseTimer timer(options.metrics, "phase.plan.us");
       XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
+      PrepareTree(op.get(), options);
+      if (collect_feedback) {
+        shapes[oi] = out.name + "=" + PlanShapeText(op.get());
+      }
     }
-    if (collect_profile) op->EnableProfile();
-    capture_shape(oi, out, op.get());
     plan_span.End();
     obs::Span exec_span;
     if (options.tracer != nullptr) {
@@ -391,85 +433,36 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     PhaseTimer timer(options.metrics, "phase.execute.us");
     // Intra-plan parallelism: only a plain scan pipeline qualifies (a
     // pipeline breaker or non-scan source has no morsel driver).
-    ScanOp* driver = morsel_workers > 1 ? op->MorselDriver() : nullptr;
+    ScanOp* driver = morsel_workers > 1 && !out.is_connection
+                         ? op->MorselDriver()
+                         : nullptr;
     if (driver != nullptr) {
       XNFDB_RETURN_IF_ERROR(run_morsel_output(oi, out, std::move(op), driver));
       continue;
     }
     TidMap& map = tids[out.name];
+    std::set<std::vector<TupleId>> seen;
     TupleBatch batch(static_cast<size_t>(batch_size));
     XNFDB_ASSIGN_OR_RETURN(
         int64_t batches, DrainRows(op.get(), &batch, [&](Tuple& row) {
+          if (out.is_connection) return emit_connection(oi, out, row, &seen);
           Tuple projected =
               out.cols.empty() ? std::move(row) : ProjectCols(row, out.cols);
           return emit_component(oi, out, map, std::move(projected));
         }));
     run_stats.batches_emitted += batches;
-    capture_plan(oi, out, op.get());
+    if (options.analyze) {  // the annotated plan of the finished output
+      plan_texts[oi] = "output " + out.name +
+                       (out.is_connection ? " [connection]" : "") + ":\n";
+      op->Explain(1, &plan_texts[oi]);
+    }
     record_tree(op.get());
     record_feedback(oi, op.get());
   }
 
-  // Pass 2: connection streams (tid maps are read-only now).
-  for (int oi = 0; oi < n_outputs; ++oi) {
-    const qgm::TopOutput& out = top->outputs[oi];
-    if (!out.is_connection) continue;
-    obs::Span exec_span;
-    if (options.tracer != nullptr) {
-      exec_span = options.tracer->StartSpan("execute " + out.name);
-    }
-    OperatorPtr op;
-    {
-      PhaseTimer timer(options.metrics, "phase.plan.us");
-      XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
-    }
-    if (collect_profile) op->EnableProfile();
-    capture_shape(oi, out, op.get());
-    PhaseTimer timer(options.metrics, "phase.execute.us");
-    std::set<std::vector<TupleId>> seen;
-    std::map<std::vector<TupleId>, int64_t>* counts =
-        collect_counts ? &result.connection_counts[oi] : nullptr;
-    TupleBatch batch(static_cast<size_t>(batch_size));
-    XNFDB_ASSIGN_OR_RETURN(
-        int64_t batches,
-        DrainRows(op.get(), &batch, [&](Tuple& row) -> Status {
-          std::vector<TupleId> partner_tids;
-          for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
-            const std::string& partner = out.partner_names[pi];
-            auto tit = tids.find(partner);
-            if (tit == tids.end()) {
-              return Status::Internal("connection partner '" + partner +
-                                      "' is not an output component");
-            }
-            Tuple key = ProjectCols(row, out.partner_cols[pi]);
-            auto it = tit->second.ids.find(key);
-            if (it == tit->second.ids.end()) {
-              // The partner row did not appear in its component stream
-              // (can happen only for non-reachable setups); drop the
-              // connection to keep the answer closed.
-              return Status::Ok();
-            }
-            partner_tids.push_back(it->second);
-          }
-          if (counts != nullptr) ++(*counts)[partner_tids];
-          if (!seen.insert(partner_tids).second) {
-            return Status::Ok();  // duplicate connection
-          }
-          if (ctx != nullptr) {
-            XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-          }
-          StreamItem item;
-          item.kind = StreamItem::Kind::kConnection;
-          item.output = oi;
-          item.tids = std::move(partner_tids);
-          ++run_stats.rows_output;
-          buffers[oi].push_back(std::move(item));
-          return Status::Ok();
-        }));
-    run_stats.batches_emitted += batches;
-    capture_plan(oi, out, op.get());
-    record_tree(op.get());
-    record_feedback(oi, op.get());
+  // Each spool that ran is profiled once, whichever reader built it.
+  for (const auto& [box_id, spool] : planner.spools()) {
+    if (spool->rows != nullptr) record_tree(spool->build.get());
   }
 
   // Workers have joined: the snapshot below is consistent.

@@ -154,9 +154,14 @@ struct ExecOptions {
 
 // Adds one finished operator tree's actuals into `agg` (the always-on
 // profile), keyed by operator class (Kind). Inclusive time is the node's
-// own measurement; self time subtracts the children's inclusive time,
-// clamped at zero.
+// own measurement; self time subtracts the children's inclusive time, and
+// the spool build a reader ran, clamped at zero.
 void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg);
+
+// Readies a planned tree to run under `options`: analyze or profile timing
+// and the governance context. A spool reader hands them on to the build
+// tree it runs.
+void PrepareTree(Operator* op, const ExecOptions& options);
 
 // Executes a graph whose XNF box (if any) has already been rewritten away.
 Result<QueryResult> ExecuteGraph(const Catalog& catalog,

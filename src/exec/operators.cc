@@ -318,6 +318,29 @@ Result<bool> MaterializedOp::NextBatchImpl(TupleBatch* out) {
   return n > 0;
 }
 
+Status MaterializedOp::OpenImpl() {
+  pos_ = 0;
+  if (spool_ == nullptr) return Status::Ok();
+  std::lock_guard<std::mutex> lock(spool_->mu);
+  XNFDB_RETURN_IF_ERROR(spool_->status);
+  if (spool_->rows == nullptr) {
+    // The build runs inside this reader, timed and governed as it is.
+    if (analyze_enabled()) spool_->build->EnableAnalyze();
+    if (profile_enabled()) spool_->build->EnableProfile();
+    spool_->build->AttachContext(context());
+    Result<std::vector<Tuple>> rows =
+        DrainOperator(spool_->build.get(), spool_->batch_size, context());
+    spool_->status = rows.status();
+    XNFDB_RETURN_IF_ERROR(spool_->status);
+    spool_->rows =
+        std::make_shared<const std::vector<Tuple>>(std::move(rows).value());
+    build_ns_ = spool_->build->actuals().ns;
+    if (stats_ != nullptr) ++stats_->spool_builds;
+  }
+  rows_ = spool_->rows;
+  return Status::Ok();
+}
+
 // --- row transforms -----------------------------------------------------------
 
 Result<bool> FilterOp::NextBatchImpl(TupleBatch* out) {
@@ -624,50 +647,49 @@ Result<bool> NLJoinOp::NextBatchImpl(TupleBatch* out) {
 
 // --- existential checks ----------------------------------------------------------
 
-Status ExistsFilterOp::OpenImpl() {
-  // Index builds are deferred to the first probe (EnsureIndex): when the
-  // probe side is empty, or a governor deadline/cancel has already expired,
-  // no group index is ever paid for. Safe because every probe loop — a
-  // morsel worker's included — runs on this instance's single thread
-  // (morsel workers each own a full plan clone).
-  return child_->Open();
+std::vector<Operator*> ExistsFilterOp::Children() {
+  std::vector<Operator*> out{child_.get()};
+  for (const GroupCheck& g : groups_) out.push_back(g.plan.get());
+  return out;
 }
 
-Status ExistsFilterOp::EnsureIndex(GroupCheck* g) {
-  if (g->index_built) return Status::Ok();
-  // A budget termination must fire before the build cost is paid, and this
-  // loop pulls from no child operator, so it checks the governor itself
-  // (up front, then at batch-boundary granularity).
-  if (context() != nullptr) {
-    XNFDB_RETURN_IF_ERROR(context()->Check());
-  }
-  for (size_t i = 0; i < g->rows->size(); ++i) {
-    if (context() != nullptr && i > 0 && (i % 1024) == 0) {
-      XNFDB_RETURN_IF_ERROR(context()->Check());
-    }
-    Tuple key;
-    key.reserve(g->equi_inner.size());
-    bool null_key = false;
-    for (const qgm::Expr* k : g->equi_inner) {
-      XNFDB_ASSIGN_OR_RETURN(Value v,
-                             EvalExpr(*k, g->group_layout, (*g->rows)[i]));
-      if (v.is_null()) null_key = true;
-      key.push_back(std::move(v));
-    }
-    if (!null_key) {
-      if (context() != nullptr) {
-        XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(key)));
-      }
-      g->index[std::move(key)].push_back(i);
-    }
-  }
-  g->index_built = true;
+bool ExistsFilterOp::Hashed(const GroupCheck& g) const {
+  return !naive_ && !g.equi_outer.empty();
+}
+
+Status ExistsFilterOp::EnsureBuilt(GroupCheck* g) {
+  if (g->built) return Status::Ok();
+  TupleBatch batch(static_cast<size_t>(batch_size_));
+  XNFDB_RETURN_IF_ERROR(
+      DrainRows(g->plan.get(), &batch, [&](Tuple& row) -> Status {
+        if (context() != nullptr) {
+          XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(row)));
+        }
+        g->rows.push_back(std::move(row));
+        if (!Hashed(*g)) return Status::Ok();
+        Tuple key;
+        key.reserve(g->equi_inner.size());
+        for (const qgm::Expr* k : g->equi_inner) {
+          XNFDB_ASSIGN_OR_RETURN(Value v,
+                                 EvalExpr(*k, g->group_layout, g->rows.back()));
+          if (v.is_null()) return Status::Ok();  // matches no outer row
+          key.push_back(std::move(v));
+        }
+        if (context() != nullptr) {
+          XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(key)));
+        }
+        g->index[std::move(key)].push_back(g->rows.size() - 1);
+        return Status::Ok();
+      }).status());
+  g->built = true;
   return Status::Ok();
 }
 
 Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
-  if (!g->equi_outer.empty() && !naive_) {
-    XNFDB_RETURN_IF_ERROR(EnsureIndex(g));
+  XNFDB_RETURN_IF_ERROR(EnsureBuilt(g));
+  // The group rows to check one by one: a hash bucket, or else all.
+  const std::vector<size_t>* bucket = nullptr;
+  if (Hashed(*g)) {
     Tuple key;
     key.reserve(g->equi_outer.size());
     for (const qgm::Expr* k : g->equi_outer) {
@@ -678,51 +700,30 @@ Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
     auto it = g->index.find(key);
     if (it == g->index.end()) return false;
     if (g->residual.empty()) return true;
-    for (size_t idx : it->second) {
-      if (stats_ != nullptr) ++stats_->exists_probes;
-      Tuple combined = outer;
-      const Tuple& group_row = (*g->rows)[idx];
-      combined.insert(combined.end(), group_row.begin(), group_row.end());
-      bool pass = true;
-      for (const qgm::Expr* p : g->residual) {
-        XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, g->combined_layout, combined));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) return true;
-    }
-    return false;
+    bucket = &it->second;
   }
-  // Naive path: scan every materialized group row (this is the per-outer-row
-  // subquery execution the rewrite optimization eliminates).
-  for (const Tuple& group_row : *g->rows) {
+  // Unhashed, this is the per-outer-row subquery execution the rewrite
+  // optimization eliminates, and equi pairs are ordinary predicates.
+  const size_t n = bucket != nullptr ? bucket->size() : g->rows.size();
+  for (size_t i = 0; i < n; ++i) {
+    const Tuple& group_row = g->rows[bucket != nullptr ? (*bucket)[i] : i];
     if (stats_ != nullptr) ++stats_->exists_probes;
-    Tuple combined = outer;
-    combined.insert(combined.end(), group_row.begin(), group_row.end());
     bool pass = true;
-    // In naive mode, equi pairs are evaluated like ordinary predicates.
-    for (size_t i = 0; i < g->equi_outer.size(); ++i) {
+    for (size_t k = 0; pass && bucket == nullptr && k < g->equi_outer.size();
+         ++k) {
       XNFDB_ASSIGN_OR_RETURN(
-          Value lv, EvalExpr(*g->equi_outer[i], outer_layout_, outer));
+          Value lv, EvalExpr(*g->equi_outer[k], outer_layout_, outer));
       XNFDB_ASSIGN_OR_RETURN(
-          Value rv, EvalExpr(*g->equi_inner[i], g->group_layout, group_row));
+          Value rv, EvalExpr(*g->equi_inner[k], g->group_layout, group_row));
       Value eq = Value::Compare(lv, rv, CompareOp::kEq);
-      if (eq.is_null() || !eq.AsBool()) {
-        pass = false;
-        break;
-      }
+      pass = !eq.is_null() && eq.AsBool();
     }
-    if (pass) {
-      for (const qgm::Expr* p : g->residual) {
-        XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, g->combined_layout, combined));
-        if (!ok) {
-          pass = false;
-          break;
-        }
+    if (pass && !g->residual.empty()) {
+      Tuple combined = outer;
+      combined.insert(combined.end(), group_row.begin(), group_row.end());
+      for (size_t k = 0; pass && k < g->residual.size(); ++k) {
+        XNFDB_ASSIGN_OR_RETURN(
+            pass, EvalPredicate(*g->residual[k], g->combined_layout, combined));
       }
     }
     if (pass) return true;
@@ -955,15 +956,13 @@ void RangeScanOp::ExplainImpl(int depth, std::string* out) const {
 }
 
 void MaterializedOp::ExplainImpl(int depth, std::string* out) const {
-  SelfLine(depth,
-              "SpoolRead(" + std::to_string(rows_->size()) + " rows)", out);
-  size_t start = 0;
-  while (start < build_plan_.size()) {
-    size_t end = build_plan_.find('\n', start);
-    if (end == std::string::npos) end = build_plan_.size();
-    ExplainLine(depth + 1, build_plan_.substr(start, end - start), out);
-    start = end + 1;
+  if (spool_ == nullptr) {
+    SelfLine(depth, "Rows(" + std::to_string(rows_->size()) + ")", out);
+    return;
   }
+  SelfLine(depth, "SpoolRead(box " + std::to_string(spool_->box_id) + ")",
+           out);
+  if (shows_build_) spool_->build->Explain(depth + 1, out);
 }
 
 void MatViewScanOp::ExplainImpl(int depth, std::string* out) const {
@@ -1046,10 +1045,11 @@ void ExistsFilterOp::ExplainImpl(int depth, std::string* out) const {
   SelfLine(depth, line, out);
   for (const GroupCheck& g : groups_) {
     ExplainLine(depth + 1,
-                std::string(g.negated ? "anti-" : "") + "group over " +
-                    std::to_string(g.rows->size()) + " materialized rows, " +
-                    std::to_string(g.equi_outer.size()) + " hash key(s)",
+                std::string(g.negated ? "anti-" : "") + "group, " +
+                    std::to_string(g.equi_outer.size()) +
+                    " hash key(s)",
                 out);
+    g.plan->Explain(depth + 2, out);
   }
   child_->Explain(depth + 1, out);
 }

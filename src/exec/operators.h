@@ -4,8 +4,8 @@
 // pipelined iterators (Open / NextBatch / Close). Each QEP operator consumes
 // one or more input streams and produces an output stream of tuple batches
 // (exec/batch.h); NextBatch is the only way rows leave an operator. Shared
-// common subexpressions are realized by Spool buffers: a producer is run
-// once and any number of readers iterate the materialized result.
+// common subexpressions are realized by Spools: the first reader to open
+// one runs its producer, and any number of readers iterate the result.
 //
 // The public Open/NextBatch/Close entry points are non-virtual wrappers
 // that check the query's governance context once per call and maintain
@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -318,7 +319,7 @@ class VirtualScanOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override { rows_.clear(); }
+  void CloseImpl() override { rows_ = {}; }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -374,7 +375,7 @@ class RangeScanOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override {}
+  void CloseImpl() override { rids_ = {}; }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -390,24 +391,40 @@ class RangeScanOp : public Operator {
   size_t pos_ = 0;
 };
 
-// Reader over a materialized (spooled) buffer. `build_plan`, when given, is
-// the EXPLAIN rendering (at depth 0) of the plan that filled the buffer;
-// EXPLAIN prints it beneath the reader's own line.
+// One spooled box (paper Sect. 4.2, 5.1): a box with several consumers is
+// computed once per query and read many times. The first reader to Open
+// drains `build` into `rows` under `mu`: readers in several outputs, and
+// morsel clones, share one Spool. The drained tree stays, its buffers
+// released by Close, so EXPLAIN and the profile can read its actuals.
+struct Spool {
+  const int box_id;
+  const OperatorPtr build;
+  const int batch_size;
+  bool shown = false;  // a reader prints `build` under its EXPLAIN line
+  std::mutex mu;
+  std::shared_ptr<const std::vector<Tuple>> rows;  // null until built
+  Status status;  // a failed build's error, returned to every later reader
+};
+
+// Reader over materialized rows: a fixed buffer, or a Spool, which opening
+// its first reader builds. A spool reader with `shows_build` prints the
+// build tree beneath its own EXPLAIN line.
 class MaterializedOp : public Operator {
  public:
   MaterializedOp(std::shared_ptr<const std::vector<Tuple>> rows,
-                 ExecStats* stats, std::string build_plan = "")
-      : rows_(std::move(rows)),
-        stats_(stats),
-        build_plan_(std::move(build_plan)) {}
+                 ExecStats* stats)
+      : rows_(std::move(rows)), stats_(stats) {}
+  MaterializedOp(std::shared_ptr<Spool> spool, bool shows_build,
+                 ExecStats* stats)
+      : stats_(stats), spool_(std::move(spool)), shows_build_(shows_build) {}
 
   const char* Kind() const override { return "spool_read"; }
+  // The spool build's inclusive time when this reader ran it, else 0 (the
+  // profile subtracts it from the reader's self time).
+  int64_t build_ns() const { return build_ns_; }
 
  protected:
-  Status OpenImpl() override {
-    pos_ = 0;
-    return Status::Ok();
-  }
+  Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
@@ -418,7 +435,9 @@ class MaterializedOp : public Operator {
  private:
   std::shared_ptr<const std::vector<Tuple>> rows_;
   ExecStats* stats_;
-  std::string build_plan_;
+  std::shared_ptr<Spool> spool_;
+  bool shows_build_ = false;
+  int64_t build_ns_ = 0;
   size_t pos_ = 0;
 };
 
@@ -512,7 +531,10 @@ class ProjectOp : public Operator {
  protected:
   Status OpenImpl() override { return child_->Open(); }
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override { child_->Close(); }
+  void CloseImpl() override {
+    child_->Close();
+    in_ = TupleBatch();
+  }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -537,7 +559,10 @@ class DistinctOp : public Operator {
   }
   // Deselects the rows of the child's batch seen before.
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override { child_->Close(); }
+  void CloseImpl() override {
+    child_->Close();
+    seen_ = {};
+  }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -561,7 +586,7 @@ class SortOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override {}  // the drain at Open closed the child
+  void CloseImpl() override { rows_ = {}; }  // Open drained the child
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -636,7 +661,8 @@ class HashJoinOp : public Operator {
 
   // The build side does not depend on what the probe side reads: every
   // re-open after the first keeps the hash table instead of re-reading the
-  // right input (delta plans re-opened on each fixpoint round).
+  // right input (delta plans re-opened on each fixpoint round). Otherwise
+  // Close releases it.
   void KeepBuild() { keep_build_ = true; }
 
  protected:
@@ -646,7 +672,12 @@ class HashJoinOp : public Operator {
   // Probes one whole left batch per call, emitting every match (output may
   // exceed the nominal capacity — no probe state is carried across calls).
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override { left_->Close(); }
+  void CloseImpl() override {
+    left_->Close();
+    if (keep_build_) return;
+    build_ = {};
+    left_batch_ = TupleBatch();
+  }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -711,7 +742,10 @@ class IndexJoinOp : public Operator {
   // Probes one whole left batch per call, emitting every match (output may
   // exceed the nominal capacity, as in HashJoinOp).
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override { left_->Close(); }
+  void CloseImpl() override {
+    left_->Close();
+    left_batch_ = TupleBatch();
+  }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -764,7 +798,12 @@ class NLJoinOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override { left_->Close(); }
+  void CloseImpl() override {
+    left_->Close();
+    if (keep_build_) return;
+    inner_ = {};
+    left_batch_ = TupleBatch();
+  }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -787,11 +826,12 @@ class NLJoinOp : public Operator {
 
 // --- existential checks --------------------------------------------------------
 
-// One alternative of a disjunctive existential predicate, pre-materialized.
+// One alternative of a disjunctive existential predicate.
 struct GroupCheck {
   bool negated = false;  // NOT EXISTS / NOT IN semantics
 
-  std::shared_ptr<const std::vector<Tuple>> rows;  // group-side joined rows
+  OperatorPtr plan;         // group-side join tree
+  std::vector<Tuple> rows;  // its rows, drained by the first probe
   Layout group_layout;    // offsets within a group row (unshifted)
   Layout combined_layout; // outer layout + group layout shifted
 
@@ -802,51 +842,55 @@ struct GroupCheck {
   // Remaining correlated predicates over the combined layout.
   std::vector<const qgm::Expr*> residual;
 
-  // Hash over `rows` keyed by equi_inner, built lazily by the first probe
-  // that reaches this group (morsel workers each own a full plan clone, so
-  // a group is only ever probed — and built — by one thread).
+  // `rows` hashed by equi_inner, built with `rows` by the first probe that
+  // reaches this group (morsel workers each own a full plan clone, so a
+  // group is only ever probed — and built — by one thread).
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash, TupleEq> index;
-  bool index_built = false;
+  bool built = false;
 };
 
 // Existential filtering. In disjunctive mode an outer row qualifies when at
 // least one group admits a matching group row (OR — XNF reachability via
 // any relationship); in conjunctive mode every group must match (ordinary
 // top-level EXISTS conjuncts). With `naive` set, hash indexes are disabled
-// and each check scans the materialized group rows — the "straightforward
-// execution strategy used in many DBMSs" of Sect. 3.2, kept for
-// benchmarking the rewrite win.
+// and each check scans the group rows — the "straightforward execution
+// strategy used in many DBMSs" of Sect. 3.2, kept for benchmarking the
+// rewrite win.
 class ExistsFilterOp : public Operator {
  public:
   ExistsFilterOp(OperatorPtr child, std::vector<GroupCheck> groups,
                  Layout outer_layout, bool disjunctive, bool naive,
-                 ExecStats* stats)
+                 ExecStats* stats, int batch_size = kDefaultBatchSize)
       : child_(std::move(child)),
         groups_(std::move(groups)),
         outer_layout_(std::move(outer_layout)),
         disjunctive_(disjunctive),
         naive_(naive),
-        stats_(stats) {}
+        stats_(stats),
+        batch_size_(batch_size) {}
 
-  std::vector<Operator*> Children() override { return {child_.get()}; }
+  // The child, then each group's plan.
+  std::vector<Operator*> Children() override;
   ScanOp* MorselDriver() override { return child_->MorselDriver(); }
   const char* Kind() const override { return "exists"; }
 
  protected:
-  // Opens only the child: group hash indexes are built lazily by the first
-  // probe that needs them (EnsureIndex), so an empty probe side — or a
-  // governor deadline/cancel that fires before the first row — never pays
-  // the build cost.
-  Status OpenImpl() override;
+  // Opens only the child: a group is drained and hashed by the first probe
+  // that reaches it (EnsureBuilt) and kept across re-opens, so an empty
+  // probe side — or a governor deadline/cancel that fires before the first
+  // row — never pays for it.
+  Status OpenImpl() override { return child_->Open(); }
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
-  // Builds `g`'s hash index if not yet built; checks the governor before
-  // and during the build so budget terminations fire first.
-  Status EnsureIndex(GroupCheck* g);
+  // Probes of `g` go through its hash index (else they scan its rows).
+  bool Hashed(const GroupCheck& g) const;
+  // Drains `g`'s plan (`batch_size_` rows per pull) into its rows and
+  // index, once.
+  Status EnsureBuilt(GroupCheck* g);
   Result<bool> GroupMatches(GroupCheck* g, const Tuple& outer);
   Result<bool> RowPasses(const Tuple& row);
 
@@ -856,6 +900,7 @@ class ExistsFilterOp : public Operator {
   bool disjunctive_;
   bool naive_;
   ExecStats* stats_;
+  int batch_size_;
 };
 
 // --- set operations ------------------------------------------------------------
@@ -919,7 +964,7 @@ class AggOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override {}  // the drain at Open closed the child
+  void CloseImpl() override { results_ = {}; }  // Open drained the child
 
   void ExplainImpl(int depth, std::string* out) const override;
 

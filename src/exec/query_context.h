@@ -3,7 +3,7 @@
 //
 // One QueryContext is shared by everything that runs on behalf of a single
 // query: the executor's output passes, morsel workers, the recursive
-// fixpoint evaluator, and plan-time spool/materialization builds. All state
+// fixpoint evaluator, and the spool builds they run. All state
 // is atomic, so any thread may flip the cancellation flag (Database::Cancel,
 // shell `.kill`) while worker threads are mid-pipeline; workers observe it
 // at the next batch boundary and unwind by returning a typed Status

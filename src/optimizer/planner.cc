@@ -34,6 +34,21 @@ bool ReferencesAny(const Expr& e, const std::set<int>& quants) {
   return false;
 }
 
+// True when `p` compares a column with a literal, either way round; sets
+// `*col` and `*lit`.
+bool ColumnVersusLiteral(const Expr& p, const Expr** col, const Expr** lit) {
+  if (p.kind != Expr::Kind::kBinary) return false;
+  for (auto [c, l] : {std::pair(p.lhs.get(), p.rhs.get()),
+                      std::pair(p.rhs.get(), p.lhs.get())}) {
+    if (c->kind == Expr::Kind::kColRef && l->kind == Expr::Kind::kLiteral) {
+      *col = c;
+      *lit = l;
+      return true;
+    }
+  }
+  return false;
+}
+
 bool ContainsAgg(const Expr& e) {
   if (e.kind == Expr::Kind::kAgg) return true;
   if (e.lhs && ContainsAgg(*e.lhs)) return true;
@@ -45,79 +60,43 @@ bool ContainsAgg(const Expr& e) {
 // under this fraction of the table — the rows a hash join's build reads.
 constexpr double kIndexJoinMaxFetchFraction = 0.5;
 
-// A single-empty-tuple source for quantifier-free boxes (SELECT 1).
-class OneRowOp : public Operator {
- protected:
-  Status OpenImpl() override {
-    done_ = false;
-    return Status::Ok();
-  }
-  Result<bool> NextBatchImpl(TupleBatch* out) override {
-    if (done_) return false;
-    out->AppendRow().clear();
-    done_ = true;
-    return true;
-  }
-
- public:
-  OneRowOp() { SetEstimatedRows(1.0); }
-  void CloseImpl() override {}
-  void ExplainImpl(int depth, std::string* out) const override {
-    SelfLine(depth, "OneRow", out);
-  }
-
- private:
-  bool done_ = false;
-};
-
 }  // namespace
 
 Result<OperatorPtr> Planner::BoxIterator(int box_id) {
+  return Iterator(box_id, true);
+}
+
+Result<OperatorPtr> Planner::Iterator(int box_id, bool top_level) {
   // Base tables, and pass-through boxes over them, are re-read per
   // consumer: a spool would only copy the table, and hide its indexes.
   std::vector<int> cols;
   bool shared = options_.spool_shared &&
                 graph_->ConsumerRefCount(box_id) > 1 &&
                 PassThroughBase(box_id, &cols) == nullptr;
-  if (shared) {
-    XNFDB_ASSIGN_OR_RETURN(auto rows, MaterializeBox(box_id));
-    // The first reader of a spool carries its build plan for EXPLAIN.
-    std::string build_plan;
-    if (auto it = spool_plans_.find(box_id); it != spool_plans_.end()) {
-      build_plan = std::move(it->second);
-      spool_plans_.erase(it);
-    }
-    OperatorPtr op =
-        std::make_unique<MaterializedOp>(rows, stats_, std::move(build_plan));
-    // The spool is already materialized: the "estimate" is exact.
-    op->SetEstimatedRows(static_cast<double>(rows->size()));
-    if (options_.analyze) op->EnableAnalyze();
-    if (options_.context != nullptr) op->AttachContext(options_.context);
-    return op;
+  if (!shared) return CompileBox(box_id);
+  auto it = spools_.find(box_id);
+  if (it == spools_.end()) {
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr build, CompileBox(box_id));
+    it = spools_.emplace(box_id, std::make_shared<Spool>(
+                                     box_id, std::move(build),
+                                     options_.batch_size)).first;
   }
-  XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, CompileBox(box_id));
-  if (options_.analyze) op->EnableAnalyze();
-  if (options_.context != nullptr) op->AttachContext(options_.context);
+  // EXPLAIN prints the build tree once: under the output that is the
+  // spooled box itself, else under the spool's first-planned reader.
+  Spool& spool = *it->second;
+  const bool shows = !spool.shown && (top_level || !IsOutputBox(box_id));
+  spool.shown = spool.shown || shows;
+  OperatorPtr op = std::make_unique<MaterializedOp>(it->second, shows, stats_);
+  op->SetEstimatedRows(EstimateCard(box_id));
   return op;
 }
 
-Result<std::shared_ptr<const std::vector<Tuple>>> Planner::MaterializeBox(
-    int box_id) {
-  auto it = spools_.find(box_id);
-  if (it != spools_.end()) return it->second;
-  XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, CompileBox(box_id));
-  // Spool builds run plan-time: attach governance so a cancel/deadline/
-  // budget cuts the drain short, and charge the spooled rows.
-  if (options_.context != nullptr) op->AttachContext(options_.context);
-  if (options_.analyze) op->EnableAnalyze();
-  XNFDB_ASSIGN_OR_RETURN(
-      std::vector<Tuple> rows,
-      DrainOperator(op.get(), options_.batch_size, options_.context));
-  if (stats_ != nullptr) ++stats_->spool_builds;
-  if (options_.analyze) op->Explain(0, &spool_plans_[box_id]);
-  auto shared = std::make_shared<const std::vector<Tuple>>(std::move(rows));
-  spools_[box_id] = shared;
-  return shared;
+bool Planner::IsOutputBox(int box_id) const {
+  if (graph_->top_box_id() < 0) return false;
+  for (const qgm::TopOutput& out : graph_->box(graph_->top_box_id())->outputs) {
+    if (out.box_id == box_id) return true;
+  }
+  return false;
 }
 
 Table* Planner::OverrideFor(const std::string& name) const {
@@ -203,7 +182,7 @@ Result<OperatorPtr> Planner::CompileUnion(const Box& box) {
   std::vector<OperatorPtr> children;
   double est = 0;
   for (int in : box.union_inputs) {
-    XNFDB_ASSIGN_OR_RETURN(OperatorPtr c, BoxIterator(in));
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr c, Iterator(in, false));
     est += EstimateCard(in);
     children.push_back(std::move(c));
   }
@@ -238,20 +217,9 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
                            catalog_->GetTable(source->table_name));
     for (size_t i = 0; i < pushed.size(); ++i) {
       const Expr* p = pushed[i];
-      if (p->kind != Expr::Kind::kBinary || p->op != "=") continue;
       const Expr* col = nullptr;
       const Expr* lit = nullptr;
-      if (p->lhs->kind == Expr::Kind::kColRef &&
-          p->rhs->kind == Expr::Kind::kLiteral) {
-        col = p->lhs.get();
-        lit = p->rhs.get();
-      } else if (p->rhs->kind == Expr::Kind::kColRef &&
-                 p->lhs->kind == Expr::Kind::kLiteral) {
-        col = p->rhs.get();
-        lit = p->lhs.get();
-      } else {
-        continue;
-      }
+      if (p->op != "=" || !ColumnVersusLiteral(*p, &col, &lit)) continue;
       if (lit->literal.is_null()) continue;  // col = NULL matches no row
       if (table->GetIndex(col->column) == nullptr) continue;
       op = std::make_unique<IndexScanOp>(table, col->column, lit->literal,
@@ -277,25 +245,16 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
     std::vector<size_t> used;
     for (size_t i = 0; i < pushed.size(); ++i) {
       const Expr* p = pushed[i];
-      if (p->kind != Expr::Kind::kBinary) continue;
-      std::string op_name = p->op;
       const Expr* col = nullptr;
       const Expr* lit = nullptr;
-      if (p->lhs->kind == Expr::Kind::kColRef &&
-          p->rhs->kind == Expr::Kind::kLiteral) {
-        col = p->lhs.get();
-        lit = p->rhs.get();
-      } else if (p->rhs->kind == Expr::Kind::kColRef &&
-                 p->lhs->kind == Expr::Kind::kLiteral) {
-        col = p->rhs.get();
-        lit = p->lhs.get();
+      if (!ColumnVersusLiteral(*p, &col, &lit)) continue;
+      std::string op_name = p->op;
+      if (col == p->rhs.get()) {
         // Flip the comparison: lit OP col == col flipped(OP) lit.
         if (op_name == "<") op_name = ">";
         else if (op_name == "<=") op_name = ">=";
         else if (op_name == ">") op_name = "<";
         else if (op_name == ">=") op_name = "<=";
-      } else {
-        continue;
       }
       if (op_name != "=" && op_name != "<" && op_name != "<=" &&
           op_name != ">" && op_name != ">=") {
@@ -345,7 +304,7 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
     }
   }
   if (op == nullptr) {
-    XNFDB_ASSIGN_OR_RETURN(op, BoxIterator(q.box_id));
+    XNFDB_ASSIGN_OR_RETURN(op, Iterator(q.box_id, false));
   }
   if (!pushed.empty()) {
     Layout layout;
@@ -374,14 +333,8 @@ double Planner::PredSelectivity(const Expr& pred) {
     if (pred.op == "=") {
       // col = literal against a base column: 1/distinct.
       const Expr* col = nullptr;
-      if (pred.lhs->kind == Expr::Kind::kColRef &&
-          pred.rhs->kind == Expr::Kind::kLiteral) {
-        col = pred.lhs.get();
-      } else if (pred.rhs->kind == Expr::Kind::kColRef &&
-                 pred.lhs->kind == Expr::Kind::kLiteral) {
-        col = pred.rhs.get();
-      }
-      if (col != nullptr) {
+      const Expr* lit = nullptr;
+      if (ColumnVersusLiteral(pred, &col, &lit)) {
         if (const Table* t = StatsTableFor(col->quant_id)) {
           size_t d = t->GetColumnStats(col->column).distinct;
           if (d > 0) return 1.0 / static_cast<double>(d);
@@ -480,8 +433,11 @@ double Planner::QuantCard(const Quantifier& q,
 Result<OperatorPtr> Planner::BuildJoinTree(
     const std::vector<const Quantifier*>& quants,
     const std::vector<const Expr*>& preds, Layout* layout) {
-  if (quants.empty()) {
-    return OperatorPtr(std::make_unique<OneRowOp>());
+  if (quants.empty()) {  // one empty row (SELECT 1)
+    OperatorPtr one = std::make_unique<MaterializedOp>(
+        std::make_shared<const std::vector<Tuple>>(1), nullptr);
+    one->SetEstimatedRows(1.0);
+    return one;
   }
 
   // Partition predicates: single-quant predicates are pushed to sources,
@@ -748,14 +704,8 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
         gquants.push_back(box.FindQuant(qid));
       }
       Layout group_layout;
-      XNFDB_ASSIGN_OR_RETURN(OperatorPtr gop,
+      XNFDB_ASSIGN_OR_RETURN(check.plan,
                              BuildJoinTree(gquants, internal, &group_layout));
-      if (options_.context != nullptr) gop->AttachContext(options_.context);
-      XNFDB_ASSIGN_OR_RETURN(
-          std::vector<Tuple> rows,
-          DrainOperator(gop.get(), options_.batch_size, options_.context));
-      check.rows =
-          std::make_shared<const std::vector<Tuple>>(std::move(rows));
       check.group_layout = group_layout;
       check.combined_layout = layout;
       check.combined_layout.Append(group_layout, layout.TotalWidth());
@@ -782,7 +732,8 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
     const double child_est = current->estimated_rows();
     current = std::make_unique<ExistsFilterOp>(
         std::move(current), std::move(checks), layout,
-        box.groups_disjunctive, options_.naive_exists, stats_);
+        box.groups_disjunctive, options_.naive_exists, stats_,
+        options_.batch_size);
     if (child_est >= 0) {
       double est = child_est;
       for (size_t i = 0; i < box.exists_groups.size(); ++i) est *= 0.5;

@@ -18,6 +18,9 @@
 //    multi-query optimization the XNF rewrite sets up (Sect. 4.2, 5.1).
 //    Base tables and pass-through boxes over them are never spooled: each
 //    consumer reads the table itself, through its indexes where a join can.
+//
+// The planner only plans, from the graph, the catalog and table statistics:
+// spools and existential groups are built by the operators that read them.
 
 #ifndef XNFDB_OPTIMIZER_PLANNER_H_
 #define XNFDB_OPTIMIZER_PLANNER_H_
@@ -48,19 +51,10 @@ struct PlanOptions {
   bool use_hash_join = true;  // false => nested-loop joins only
   bool naive_exists = false;  // per-outer-row subquery scans (Sect. 3.2 naive)
   bool spool_shared = true;   // false => recompute shared boxes per consumer
-  // EXPLAIN ANALYZE: operators returned by BoxIterator measure inclusive
-  // wall time per NextBatch call (row/loop counting is always on).
-  bool analyze = false;
-  // Rows per batch for plan-time materialization (spools, existential
-  // group builds) and for the input drains of the operators it builds
-  // (join builds, sort and aggregate inputs). The executor passes its
-  // resolved ExecOptions::batch_size through here.
+  // Rows per batch for the input drains of the operators it builds (spool
+  // and existential group builds, join builds, sort and aggregate inputs).
+  // The executor passes its resolved ExecOptions::batch_size through here.
   int batch_size = kDefaultBatchSize;
-  // Resource-governance context (exec/query_context.h), not owned; must
-  // outlive the planner and its operators. When set, BoxIterator attaches
-  // it to every returned tree and plan-time materializations (spools,
-  // existential group builds) charge their rows against its memory budget.
-  QueryContext* context = nullptr;
   // Base-table substitution (matview delta propagation): a box referencing
   // table `name` scans the mapped transient table instead of the catalog
   // one. Overridden tables never take index access paths — delta tables
@@ -76,15 +70,14 @@ struct PlanOptions {
   const std::map<int, QuantOverride>* quant_overrides = nullptr;
 };
 
-// Compiles boxes of one QueryGraph into operators. The planner owns the
-// spool buffers; it must outlive the operators it creates. The graph and
-// catalog must outlive the planner.
+// Compiles boxes of one QueryGraph into operators. The graph and catalog
+// must outlive the planner and its operators.
 //
 // Thread safety: a planner is used by one thread, the query's; it takes no
 // lock. The operator trees it returned may run concurrently (the executor
 // plans every morsel clone on the query thread before any worker starts):
-// spool buffers are immutable once built, and base tables are read-only
-// during query execution.
+// a spool is built under its own mutex and immutable once built, and base
+// tables are read-only during query execution.
 class Planner {
  public:
   Planner(const Catalog* catalog, const qgm::QueryGraph* graph,
@@ -92,16 +85,24 @@ class Planner {
       : catalog_(catalog), graph_(graph), options_(options), stats_(stats) {}
 
   // An iterator producing the head rows of `box_id`. Shared boxes read from
-  // a spool that is populated on first use.
+  // a spool that its first reader to open builds.
   Result<OperatorPtr> BoxIterator(int box_id);
-
-  // Materialized head rows of `box_id` (cached).
-  Result<std::shared_ptr<const std::vector<Tuple>>> MaterializeBox(int box_id);
 
   // Estimated output cardinality of `box_id`.
   double EstimateCard(int box_id);
 
+  // The spools planned so far, by box. Their build trees run inside the
+  // trees BoxIterator returned, built by a reader; callers profile them.
+  const std::map<int, std::shared_ptr<Spool>>& spools() const {
+    return spools_;
+  }
+
  private:
+  // BoxIterator; `top_level` when called for a caller, not for a consumer.
+  Result<OperatorPtr> Iterator(int box_id, bool top_level);
+  // True when `box_id` is an output of the graph's Top box.
+  bool IsOutputBox(int box_id) const;
+
   Result<OperatorPtr> CompileBox(int box_id);
   Result<OperatorPtr> CompileSelect(const qgm::Box& box);
   Result<OperatorPtr> CompileUnion(const qgm::Box& box);
@@ -157,10 +158,7 @@ class Planner {
   PlanOptions options_;
   ExecStats* stats_;
 
-  std::map<int, std::shared_ptr<const std::vector<Tuple>>> spools_;
-  // EXPLAIN ANALYZE: each spool's annotated build plan, handed to the
-  // spool's first reader.
-  std::map<int, std::string> spool_plans_;
+  std::map<int, std::shared_ptr<Spool>> spools_;
   std::map<int, double> card_cache_;
 };
 

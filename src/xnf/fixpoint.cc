@@ -275,38 +275,39 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
   QueryContext* ctx = options.context.get();
   const int batch_size = ResolveBatchSize(options.batch_size);
   PlanOptions plan_options = options.plan;
-  plan_options.analyze = options.analyze;
   plan_options.batch_size = batch_size;
-  plan_options.context = ctx;  // governs seeds, inner builds and delta plans
   Evaluation eval(catalog, graph, *xnf, plan_options, &result.stats);
   XNFDB_RETURN_IF_ERROR(eval.Init());
   auto& components = eval.components();
+  // The profile of every tree the evaluation runs: seeds, delta plans and
+  // the spools they built.
+  std::map<std::string, obs::OpProfile> ops;
+  // One batch serves every seed and every delta plan in every round.
+  TupleBatch batch(static_cast<size_t>(batch_size));
 
   // 1. Seed roots and FREE components with their full candidate extent.
   size_t reached = 0;
   for (auto& [name, s] : components) {
     if (!s.seeded) continue;
-    XNFDB_ASSIGN_OR_RETURN(auto rows, eval.planner().MaterializeBox(
-                                          s.comp->box_id));
-    for (const Tuple& row : *rows) {
-      // The extent holds a second copy of each seed row on top of the
-      // spool charged inside MaterializeBox.
-      if (ctx != nullptr) {
-        XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
-      }
-      Tuple copy = row;
-      auto [pos, fresh] = s.extent.Intern({copy.data(), copy.size()});
-      if (fresh) s.fresh.push_back(pos);
-    }
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr seed,
+                           eval.planner().BoxIterator(s.comp->box_id));
+    PrepareTree(seed.get(), options);
+    XNFDB_RETURN_IF_ERROR(
+        DrainRows(seed.get(), &batch, [&](Tuple& row) -> Status {
+          auto [pos, fresh] = s.extent.Intern({row.data(), row.size()});
+          if (!fresh) return Status::Ok();
+          s.fresh.push_back(pos);
+          if (ctx == nullptr) return Status::Ok();
+          return ctx->ReserveBytes(ApproxTupleBytes(s.extent.row(pos)));
+        }).status());
+    if (options.collect_profile) AccumulateTree(seed.get(), &ops);
     reached += s.extent.size();
     if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
   }
 
   // 2. Semi-naive rounds: join each frontier through the delta plans until
   // no round reaches a new row. A row enters a frontier at most once, so
-  // more than reached + 1 rounds means that invariant broke. One batch
-  // serves every delta plan in every round.
-  TupleBatch batch(static_cast<size_t>(batch_size));
+  // more than reached + 1 rounds means that invariant broke.
   int64_t rounds = 0;
   while (true) {
     bool any = false;
@@ -330,7 +331,7 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
       if (d.plan == nullptr) {
         XNFDB_RETURN_IF_ERROR(
             eval.Plan(&d, static_cast<double>(parent.frontier->size())));
-        if (options.collect_profile) d.plan->EnableProfile();
+        PrepareTree(d.plan.get(), options);
       }
       const bool taken = d.rel->taken;
       XNFDB_RETURN_IF_ERROR(
@@ -458,9 +459,12 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
     }
   }
 
-  // 4. Actuals of the delta plans, summed over the rounds they ran.
+  // 4. Actuals of the seeds, the spools that ran and the delta plans, the
+  // latter summed over the rounds they ran.
   if (options.collect_profile) {
-    std::map<std::string, obs::OpProfile> ops;
+    for (const auto& [box_id, spool] : eval.planner().spools()) {
+      if (spool->rows != nullptr) AccumulateTree(spool->build.get(), &ops);
+    }
     for (Delta& d : eval.deltas()) {
       if (d.plan != nullptr) AccumulateTree(d.plan.get(), &ops);
     }

@@ -99,6 +99,61 @@ TEST(DatabaseTest, ExplainXnfShowsAllOutputStreams) {
   EXPECT_NE(p.find("joins=6"), std::string::npos) << p;
 }
 
+TEST(DatabaseTest, ExplainShowsSpoolBuildPlansWithoutRunning) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  Result<std::string> plan = db.Explain(testing_util::kDepsArcQuery);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::string& p = plan.value();
+  // The shared EMPLOYMENT box is spooled; its output shows the join that
+  // builds the spool.
+  const size_t start = p.find("output EMPLOYMENT [connection]:");
+  ASSERT_NE(start, std::string::npos) << p;
+  const size_t end = p.find("output ", start + 1);
+  const std::string section = p.substr(start, end - start);
+  EXPECT_NE(section.find("Join("), std::string::npos) << p;
+  // Each spool's build plan is printed once.
+  size_t scans = 0;
+  for (size_t at = p.find("Scan(EMP)"); at != std::string::npos;
+       at = p.find("Scan(EMP)", at + 1)) {
+    ++scans;
+  }
+  EXPECT_EQ(scans, 1u) << p;
+  // Nothing ran: EXPLAIN reports no actuals.
+  EXPECT_EQ(p.find("rows)"), std::string::npos) << p;
+}
+
+TEST(DatabaseTest, UnreadSpoolsAndGroupsAreNeverBuilt) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  ASSERT_TRUE(
+      db.Execute("CREATE VIEW ARCD AS SELECT * FROM DEPT WHERE LOC = 'ARC'")
+          .ok());
+  // The group reads the view twice (a spool); only an outer row that
+  // reaches the filter probes it.
+  auto query = [&](const std::string& outer) {
+    return db.Query(
+        "SELECT e.ENO FROM EMP e WHERE " + outer +
+        " AND NOT EXISTS (SELECT 1 FROM ARCD a, ARCD b WHERE a.DNO = b.DNO "
+        "AND a.DNO = e.EDNO)");
+  };
+  Result<QueryResult> none = query("e.ENO < 0");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none.value().stats.spool_builds, 0);
+  EXPECT_EQ(none.value().stats.exists_probes, 0);
+  Result<QueryResult> outer_only = db.Query("SELECT e.ENO FROM EMP e WHERE "
+                                            "e.ENO < 0");
+  ASSERT_TRUE(outer_only.ok());
+  EXPECT_EQ(none.value().stats.rows_scanned,
+            outer_only.value().stats.rows_scanned);
+
+  Result<QueryResult> all = query("e.ENO > 0");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all.value().stats.spool_builds, 1);
+  EXPECT_GT(all.value().stats.rows_scanned,
+            outer_only.value().stats.rows_scanned);
+}
+
 TEST(DatabaseTest, ExplainJoinShowsHashJoin) {
   Database db;
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());

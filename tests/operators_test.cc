@@ -195,7 +195,7 @@ TEST(OperatorsTest, ExistsFilterConjunctiveVsDisjunctive) {
     GroupCheck g;
     std::vector<Tuple> rows;
     for (int64_t k : keys) rows.push_back({Value(k)});
-    g.rows = std::make_shared<const std::vector<Tuple>>(std::move(rows));
+    g.plan = Source(std::move(rows));
     g.group_layout.Add(100, 0, 1);
     g.combined_layout = TwoColLayout(0);
     g.combined_layout.Append(g.group_layout, 2);

@@ -116,6 +116,63 @@ TEST(PlannerTest, SharedBoxMaterializedOnce) {
   EXPECT_EQ(stats.rows_scanned, 100);
 }
 
+TEST(PlannerTest, PlanningRunsNothing) {
+  // A shared box and an existential group: both are built by the operators
+  // that read them, at their first Open or probe, not by BoxIterator.
+  Catalog c = MakeCatalog();
+  ViewDef v;
+  v.name = "ARCD";
+  v.definition = "SELECT * FROM DEPT WHERE LOC = 'ARC'";
+  ASSERT_TRUE(c.CreateView(v).ok());
+  std::unique_ptr<qgm::QueryGraph> g = Graph(
+      c,
+      "SELECT a.DNO FROM ARCD a, ARCD b WHERE a.DNO = b.DNO AND EXISTS "
+      "(SELECT 1 FROM EMP e WHERE e.EDNO = a.DNO)");
+  ExecStats stats;
+  Planner planner(&c, g.get(), PlanOptions{}, &stats);
+  Result<OperatorPtr> op = planner.BoxIterator(BodyBox(*g));
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  EXPECT_EQ(stats.rows_scanned, 0);
+  EXPECT_EQ(stats.spool_builds, 0);
+  ASSERT_EQ(planner.spools().size(), 1u);
+  EXPECT_EQ(planner.spools().begin()->second->rows, nullptr);
+
+  Result<std::vector<Tuple>> rows = DrainOperator(op.value().get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value().size(), 10u);
+  EXPECT_EQ(stats.spool_builds, 1);
+  // DEPT once for the spool, EMP once for the group.
+  EXPECT_EQ(stats.rows_scanned, 1100);
+}
+
+TEST(PlannerTest, ReadersOfOneSpoolKeepOnePlanShape) {
+  // A morsel clone plans its output again: it reads the same spool, has
+  // the same shape, and does not print the build tree a second time.
+  Catalog c = MakeCatalog();
+  ViewDef v;
+  v.name = "ARCD";
+  v.definition = "SELECT * FROM DEPT WHERE LOC = 'ARC'";
+  ASSERT_TRUE(c.CreateView(v).ok());
+  std::unique_ptr<qgm::QueryGraph> g = Graph(
+      c, "SELECT a.DNO FROM ARCD a, ARCD b WHERE a.DNO = b.DNO");
+  ExecStats stats;
+  Planner planner(&c, g.get(), PlanOptions{}, &stats);
+  Result<OperatorPtr> first = planner.BoxIterator(BodyBox(*g));
+  Result<OperatorPtr> clone = planner.BoxIterator(BodyBox(*g));
+  ASSERT_TRUE(first.ok() && clone.ok());
+  EXPECT_EQ(PlanShapeText(first.value().get()),
+            PlanShapeText(clone.value().get()));
+  std::string first_text, clone_text;
+  first.value()->Explain(0, &first_text);
+  clone.value()->Explain(0, &clone_text);
+  EXPECT_NE(first_text.find("Scan(DEPT)"), std::string::npos) << first_text;
+  EXPECT_EQ(clone_text.find("Scan(DEPT)"), std::string::npos) << clone_text;
+  ASSERT_TRUE(DrainOperator(first.value().get()).ok());
+  ASSERT_TRUE(DrainOperator(clone.value().get()).ok());
+  EXPECT_EQ(stats.spool_builds, 1);
+  EXPECT_EQ(stats.rows_scanned, 100);
+}
+
 TEST(PlannerTest, SpoolingCanBeDisabled) {
   Catalog c = MakeCatalog();
   ViewDef v;
