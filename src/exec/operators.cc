@@ -654,6 +654,9 @@ std::vector<Operator*> ExistsFilterOp::Children() {
 }
 
 bool ExistsFilterOp::Hashed(const GroupCheck& g) const {
+  // A NOT IN comparison is hashed too, unless a residual decides which
+  // group rows it is taken over.
+  if (g.not_in_outer != nullptr) return !naive_ && g.residual.empty();
   return !naive_ && !g.equi_outer.empty();
 }
 
@@ -668,11 +671,22 @@ Status ExistsFilterOp::EnsureBuilt(GroupCheck* g) {
         g->rows.push_back(std::move(row));
         if (!Hashed(*g)) return Status::Ok();
         Tuple key;
-        key.reserve(g->equi_inner.size());
+        key.reserve(g->equi_inner.size() + 1);
         for (const qgm::Expr* k : g->equi_inner) {
           XNFDB_ASSIGN_OR_RETURN(Value v,
                                  EvalExpr(*k, g->group_layout, g->rows.back()));
           if (v.is_null()) return Status::Ok();  // matches no outer row
+          key.push_back(std::move(v));
+        }
+        if (g->not_in_outer != nullptr) {
+          XNFDB_ASSIGN_OR_RETURN(
+              Value v,
+              EvalExpr(*g->not_in_inner, g->group_layout, g->rows.back()));
+          bool& has_null = g->not_in_nulls[key];
+          if (v.is_null()) {
+            has_null = true;
+            return Status::Ok();
+          }
           key.push_back(std::move(v));
         }
         if (context() != nullptr) {
@@ -687,15 +701,29 @@ Status ExistsFilterOp::EnsureBuilt(GroupCheck* g) {
 
 Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
   XNFDB_RETURN_IF_ERROR(EnsureBuilt(g));
+  const bool not_in = g->not_in_outer != nullptr;
+  Value not_in_key;
+  if (not_in) {
+    XNFDB_ASSIGN_OR_RETURN(not_in_key,
+                           EvalExpr(*g->not_in_outer, outer_layout_, outer));
+  }
   // The group rows to check one by one: a hash bucket, or else all.
   const std::vector<size_t>* bucket = nullptr;
   if (Hashed(*g)) {
     Tuple key;
-    key.reserve(g->equi_outer.size());
+    key.reserve(g->equi_outer.size() + 1);
     for (const qgm::Expr* k : g->equi_outer) {
       XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, outer_layout_, outer));
       if (v.is_null()) return false;
       key.push_back(std::move(v));
+    }
+    if (not_in) {
+      // No group row correlates: the NOT IN set is empty.
+      auto nulls = g->not_in_nulls.find(key);
+      if (nulls == g->not_in_nulls.end()) return false;
+      // Unknown against a non-empty set.
+      if (not_in_key.is_null() || nulls->second) return true;
+      key.push_back(not_in_key);
     }
     auto it = g->index.find(key);
     if (it == g->index.end()) return false;
@@ -725,6 +753,12 @@ Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
         XNFDB_ASSIGN_OR_RETURN(
             pass, EvalPredicate(*g->residual[k], g->combined_layout, combined));
       }
+    }
+    if (pass && not_in) {
+      XNFDB_ASSIGN_OR_RETURN(
+          Value item, EvalExpr(*g->not_in_inner, g->group_layout, group_row));
+      Value eq = Value::Compare(not_in_key, item, CompareOp::kEq);
+      pass = eq.is_null() || eq.AsBool();
     }
     if (pass) return true;
   }
@@ -1045,8 +1079,10 @@ void ExistsFilterOp::ExplainImpl(int depth, std::string* out) const {
   SelfLine(depth, line, out);
   for (const GroupCheck& g : groups_) {
     ExplainLine(depth + 1,
-                std::string(g.negated ? "anti-" : "") + "group, " +
-                    std::to_string(g.equi_outer.size()) +
+                std::string(g.not_in_outer != nullptr ? "NOT IN "
+                            : g.negated               ? "anti-"
+                                                      : "") +
+                    "group, " + std::to_string(g.equi_outer.size()) +
                     " hash key(s)",
                 out);
     g.plan->Explain(depth + 2, out);

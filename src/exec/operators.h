@@ -829,6 +829,12 @@ class NLJoinOp : public Operator {
 // One alternative of a disjunctive existential predicate.
 struct GroupCheck {
   bool negated = false;  // NOT EXISTS / NOT IN semantics
+  // NOT IN (subquery) is null-aware: a group row passing the other
+  // predicates matches unless `not_in_outer = not_in_inner` is false, so
+  // an outer NULL passes only an empty group and an inner NULL blocks
+  // every row. Null for every other group.
+  const qgm::Expr* not_in_outer = nullptr;
+  const qgm::Expr* not_in_inner = nullptr;
 
   OperatorPtr plan;         // group-side join tree
   std::vector<Tuple> rows;  // its rows, drained by the first probe
@@ -842,10 +848,13 @@ struct GroupCheck {
   // Remaining correlated predicates over the combined layout.
   std::vector<const qgm::Expr*> residual;
 
-  // `rows` hashed by equi_inner, built with `rows` by the first probe that
-  // reaches this group (morsel workers each own a full plan clone, so a
-  // group is only ever probed — and built — by one thread).
+  // Built with `rows` by the first probe that reaches this group (morsel
+  // workers each own a full plan clone, so a group is only ever probed —
+  // and built — by one thread): `rows` hashed by equi_inner, plus
+  // not_in_inner for NOT IN; and, for NOT IN, whether the rows under each
+  // equi_inner key include a NULL not_in_inner.
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash, TupleEq> index;
+  std::unordered_map<Tuple, bool, TupleHash, TupleEq> not_in_nulls;
   bool built = false;
 };
 

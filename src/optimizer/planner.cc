@@ -693,7 +693,11 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
       std::vector<const Expr*> internal;
       std::vector<const Expr*> correlated;
       for (const qgm::ExprPtr& p : group.preds) {
-        if (BoundBy(*p, group_ids)) {
+        if (group.null_aware && p == group.preds.back()) {
+          const bool inner_rhs = BoundBy(*p->rhs, group_ids);
+          check.not_in_outer = inner_rhs ? p->lhs.get() : p->rhs.get();
+          check.not_in_inner = inner_rhs ? p->rhs.get() : p->lhs.get();
+        } else if (BoundBy(*p, group_ids)) {
           internal.push_back(p.get());
         } else {
           correlated.push_back(p.get());

@@ -127,6 +127,9 @@ struct ExistsGroup {
   std::vector<int> quant_ids;
   std::vector<ExprPtr> preds;
   bool negated = false;
+  // NOT IN (subquery): preds.back() is the `operand = item` comparison, and
+  // a binding where it is unknown (a NULL on either side) counts as one.
+  bool null_aware = false;
 };
 
 struct HeadColumn {
@@ -202,6 +205,7 @@ struct Box {
   // kBaseTable.
   std::string table_name;
   Schema base_schema;
+  int key_column = -1;  // the declared primary-key column, or -1
 
   // Head (kSelect, kUnion; base tables derive theirs from base_schema).
   std::vector<HeadColumn> head;

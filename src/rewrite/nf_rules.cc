@@ -30,6 +30,47 @@ void SubstituteQuant(ExprPtr* e, int q, const std::vector<HeadColumn>& head) {
 
 // --- E to F quantifier conversion -----------------------------------------
 
+// True when head column `col` of `box_id` holds no value twice: a declared
+// key of a base table, reached through SELECT boxes over one F-quantifier
+// that only filter and project it.
+bool KeyColumn(const QueryGraph& graph, int box_id, int col) {
+  const Box* box = graph.box(box_id);
+  while (box->kind == BoxKind::kSelect) {
+    std::vector<const Quantifier*> fquants = box->ForeachQuants();
+    const Expr* h = box->head[col].expr.get();
+    if (fquants.size() != 1 || !box->group_by.empty() || h == nullptr ||
+        h->kind != Expr::Kind::kColRef || h->quant_id != fquants[0]->id) {
+      return false;
+    }
+    col = h->column;
+    box = graph.box(fquants[0]->box_id);
+  }
+  return box->kind == BoxKind::kBaseTable && col == box->key_column;
+}
+
+// True when `group` admits at most one binding per outer row: it has one
+// quantifier, and an equality binds a key column of it to an expression
+// of other quantifiers.
+bool AtMostOneWitness(const QueryGraph& graph, const Box& b,
+                      const qgm::ExistsGroup& group) {
+  if (group.quant_ids.size() != 1) return false;
+  const Quantifier* q = b.FindQuant(group.quant_ids[0]);
+  for (const ExprPtr& p : group.preds) {
+    if (p->kind != Expr::Kind::kBinary || p->op != "=") continue;
+    for (auto [col, other] : {std::pair(p->lhs.get(), p->rhs.get()),
+                              std::pair(p->rhs.get(), p->lhs.get())}) {
+      std::vector<int> used;
+      other->CollectQuants(&used);
+      if (col->kind == Expr::Kind::kColRef && col->quant_id == q->id &&
+          std::find(used.begin(), used.end(), q->id) == used.end() &&
+          KeyColumn(graph, q->box_id, col->column)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 class ExistsToJoinRule : public RewriteRule {
  public:
   const char* name() const override { return "ExistsToJoin"; }
@@ -42,7 +83,10 @@ class ExistsToJoinRule : public RewriteRule {
       // existential predicate); a disjunctive set converts only when it has
       // a single alternative. Negated (anti-join) groups stay existential.
       // Aggregating boxes are excluded: the join would change group
-      // cardinalities.
+      // cardinalities. A join emits an outer row once per binding, so a
+      // group converts only where that keeps the box's answer, as in [39]:
+      // the box eliminates duplicates anyway, or the group binds at most
+      // one row. Any other group stays a semi-join (ExistsFilterOp).
       if (b->exists_groups.empty()) continue;
       if (b->groups_disjunctive && b->exists_groups.size() != 1) {
         CountRejected();
@@ -53,7 +97,10 @@ class ExistsToJoinRule : public RewriteRule {
         continue;
       }
       size_t gi = 0;
-      while (gi < b->exists_groups.size() && b->exists_groups[gi].negated) {
+      while (gi < b->exists_groups.size() &&
+             (b->exists_groups[gi].negated ||
+              !(b->distinct ||
+                AtMostOneWitness(*graph, *b, b->exists_groups[gi])))) {
         ++gi;
       }
       if (gi == b->exists_groups.size()) {
@@ -76,10 +123,6 @@ class ExistsToJoinRule : public RewriteRule {
         q->kind = QuantKind::kForeach;
       }
       for (ExprPtr& p : group.preds) b->preds.push_back(std::move(p));
-      // The conversion can introduce duplicates (several witnesses per
-      // outer row); duplicate elimination over the head restores set
-      // semantics, as in [39].
-      b->distinct = true;
       return true;
     }
     return false;

@@ -1,7 +1,9 @@
 // The NF (plain relational) rewrite rules, after [39]:
 //
 //  * ExistsToJoinRule — the "E to F quantifier conversion": an existential
-//    subquery becomes a join with duplicate elimination (Fig. 3a -> 3b).
+//    subquery becomes a join (Fig. 3a -> 3b) where a join keeps the
+//    answer: the box is DISTINCT, or the subquery binds at most one row
+//    per outer row through a declared key.
 //  * SelectMergeRule — the "SELECT merge": a single-consumer SELECT box is
 //    inlined into its consumer (Fig. 3b -> 3c).
 //  * RemoveUnusedBoxesRule — clean-up: boxes unreachable from Top are

@@ -275,6 +275,9 @@ Result<int> XnfRewriter::ExistsDerivation(const XnfComponent& comp) {
   }
   // Reachability through *any* incoming relationship suffices (Sect. 2).
   box->groups_disjunctive = true;
+  // A component is a set (object sharing, Sect. 2), as the shared form's
+  // projections are: its groups may then become joins (Fig. 5a -> 5b).
+  box->distinct = true;
   return box->id;
 }
 

@@ -201,6 +201,7 @@ Result<Box*> Builder::BaseTableBox(const std::string& table_name) {
   Box* b = graph_->NewBox(BoxKind::kBaseTable, table.value()->name());
   b->table_name = table.value()->name();
   b->base_schema = table.value()->schema();
+  b->key_column = catalog_.PrimaryKeyColumn(b->table_name);
   return b;
 }
 
@@ -312,10 +313,10 @@ Result<ExprPtr> Builder::TranslateExists(const ast::SelectStmt& sub,
                                          const ast::Expr* in_operand,
                                          bool negated, const Scope& scope,
                                          Box* box) {
-  // `negated` yields an anti-group (NOT EXISTS / NOT IN). Note a documented
-  // deviation for NOT IN: SQL's three-valued semantics make `x NOT IN (set
-  // containing NULL)` unknown; here NULL subquery items simply never match,
-  // so the row passes.
+  // `negated` yields an anti-group (NOT EXISTS / NOT IN). A NOT IN group is
+  // null-aware, as SQL's three-valued logic has it: `x NOT IN (set)` is
+  // unknown when x is NULL and the set is not empty, or when the set holds
+  // a NULL and not x.
   // Constructs the subquery does not support are rejected explicitly
   // rather than silently dropped.
   if (sub.union_next != nullptr) {
@@ -410,6 +411,7 @@ Result<ExprPtr> Builder::TranslateExists(const ast::SelectStmt& sub,
   // new E-quantifier over sub_box.
   ExistsGroup group;
   group.negated = negated;
+  group.null_aware = negated && in_operand != nullptr;
   int equant =
       AddQuant(graph_, box, QuantKind::kExists, sub_box->id, "exists");
   // AddQuant appends as a plain quantifier; move it into the group.

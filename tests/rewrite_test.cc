@@ -28,6 +28,7 @@ Catalog MakeCatalog() {
   c.CreateTable("EMP", Schema({{"ENO", DataType::kInt},
                                {"EDNO", DataType::kInt}}))
       .value();
+  EXPECT_TRUE(c.DeclarePrimaryKey("DEPT", "DNO").ok());
   return c;
 }
 
@@ -47,7 +48,7 @@ const Box* QueryBody(const QueryGraph& g) {
   return g.box(top->outputs[0].box_id);
 }
 
-TEST(RewriteTest, ExistsToJoinConvertsQuantifierAndSetsDistinct) {
+TEST(RewriteTest, ExistsToJoinConvertsKeyedSubqueryWithoutDistinct) {
   Catalog c = MakeCatalog();
   std::unique_ptr<QueryGraph> g = BuildFig3(c);
   const Box* body = QueryBody(*g);
@@ -62,14 +63,36 @@ TEST(RewriteTest, ExistsToJoinConvertsQuantifierAndSetsDistinct) {
   EXPECT_EQ(stats.value().TotalFirings(), 1);
 
   body = QueryBody(*g);
-  // Fig. 3b: the E quantifier became an F quantifier; duplicate
-  // elimination restores set semantics.
+  // Fig. 3b: the E quantifier became an F quantifier. d.DNO = e.EDNO binds
+  // DEPT's key, so each employee joins at most one department and keeps
+  // its own duplicates: no DISTINCT is added.
   EXPECT_TRUE(body->exists_groups.empty());
   EXPECT_EQ(body->quants.size(), 2u);
   for (const qgm::Quantifier& q : body->quants) {
     EXPECT_EQ(q.kind, QuantKind::kForeach);
   }
-  EXPECT_TRUE(body->distinct);
+  EXPECT_FALSE(body->distinct);
+}
+
+TEST(RewriteTest, ExistsToJoinKeepsUnkeyedSubqueryExistential) {
+  // Without DEPT's key an employee may join several departments; a join
+  // would repeat it, and DISTINCT would also merge EMP's own duplicates.
+  Catalog c;
+  c.CreateTable("DEPT", Schema({{"DNO", DataType::kInt},
+                                {"LOC", DataType::kString}}))
+      .value();
+  c.CreateTable("EMP", Schema({{"ENO", DataType::kInt},
+                               {"EDNO", DataType::kInt}}))
+      .value();
+  std::unique_ptr<QueryGraph> g = BuildFig3(c);
+  RuleEngine engine(MakeDefaultNfRules());
+  Result<RewriteStats> stats = engine.Run(g.get());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const Box* body = QueryBody(*g);
+  EXPECT_EQ(body->exists_groups.size(), 1u);
+  EXPECT_FALSE(body->distinct);
+  EXPECT_EQ(stats.value().ToString().find("ExistsToJoin="), std::string::npos)
+      << stats.value().ToString();
 }
 
 TEST(RewriteTest, SelectMergeInlinesSingleConsumerBox) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "api/database.h"
@@ -292,6 +293,81 @@ TEST_F(SqlTest, NotInSubquery) {
   std::set<std::string> names;
   for (const Tuple& r : rows) names.insert(r[0].AsString());
   EXPECT_EQ(names, (std::set<std::string>{"OS", "HW"}));
+}
+
+// The first column of every row, as sorted text (a multiset; NULL sorts
+// as "NULL").
+std::vector<std::string> Column0(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& r : rows) out.push_back(r[0].ToString());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(SqlTest, NotInSubqueryIsNullAware) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE T2 (A INTEGER);
+    CREATE TABLE U3 (A INTEGER);
+    INSERT INTO T2 VALUES (1), (NULL), (2);
+    INSERT INTO U3 VALUES (1);
+  )sql")
+                  .ok());
+  // NULL NOT IN {1} is unknown: only 2 qualifies.
+  const std::string q = "SELECT A FROM T2 WHERE A NOT IN (SELECT A FROM U3)";
+  EXPECT_EQ(Column0(Rows(q)), (std::vector<std::string>{"2"}));
+  EXPECT_EQ(Column0(Rows("SELECT A FROM T2 WHERE NOT (A IN (SELECT A FROM "
+                         "U3))")),
+            (std::vector<std::string>{"2"}));
+  // A NULL in the set makes every comparison that is not true unknown.
+  ASSERT_TRUE(db_.Execute("INSERT INTO U3 VALUES (NULL)").ok());
+  EXPECT_TRUE(Rows(q).empty());
+  // An empty set admits every row, NULL included.
+  ASSERT_TRUE(db_.Execute("DELETE FROM U3").ok());
+  EXPECT_EQ(Column0(Rows(q)), (std::vector<std::string>{"1", "2", "NULL"}));
+  // The literal-list form agrees: NOT IN (1, NULL) holds for no row.
+  EXPECT_TRUE(Rows("SELECT A FROM T2 WHERE A NOT IN (1, NULL)").empty());
+}
+
+TEST_F(SqlTest, CorrelatedNotInIsNullAwarePerOuterRow) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE T2 (K INTEGER, A INTEGER);
+    CREATE TABLE U3 (K INTEGER, A INTEGER);
+    INSERT INTO T2 VALUES (1, 5), (2, 5), (3, NULL), (4, NULL);
+    INSERT INTO U3 VALUES (1, 6), (2, NULL), (4, 7);
+  )sql")
+                  .ok());
+  // K=1: 5 NOT IN {6}; K=2: {NULL} blocks; K=3: empty set admits NULL;
+  // K=4: NULL against {7} is unknown.
+  EXPECT_EQ(Column0(Rows("SELECT K FROM T2 WHERE A NOT IN (SELECT U.A FROM "
+                         "U3 U WHERE U.K = T2.K)")),
+            (std::vector<std::string>{"1", "3"}));
+}
+
+TEST_F(SqlTest, InAndExistsKeepOuterDuplicates) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE T (A INTEGER, C VARCHAR);
+    CREATE TABLE U (A INTEGER);
+    CREATE TABLE UK (A INTEGER, PRIMARY KEY (A));
+    INSERT INTO T VALUES (2, 'p'), (2, 'q'), (3, 'r');
+    INSERT INTO U VALUES (2), (3), (3);
+    INSERT INTO UK VALUES (2), (3);
+  )sql")
+                  .ok());
+  const std::vector<std::string> want{"2", "2", "3"};
+  EXPECT_EQ(Column0(Rows("SELECT X.A FROM T X WHERE X.A IN (SELECT U2.A "
+                         "FROM U U2)")),
+            want);
+  EXPECT_EQ(Column0(Rows("SELECT X.A FROM T X WHERE EXISTS (SELECT 1 FROM "
+                         "U U2 WHERE U2.A = X.A)")),
+            want);
+  // A keyed inner side is joined (one match per outer row) without DISTINCT.
+  EXPECT_EQ(Column0(Rows("SELECT X.A FROM T X WHERE X.A IN (SELECT K.A "
+                         "FROM UK K)")),
+            want);
+  // DISTINCT asked for by the query itself still applies.
+  EXPECT_EQ(Column0(Rows("SELECT DISTINCT X.A FROM T X WHERE X.A IN (SELECT "
+                         "U2.A FROM U U2)")),
+            (std::vector<std::string>{"2", "3"}));
 }
 
 TEST_F(SqlTest, MixedExistsAndNotExistsConjuncts) {
